@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .core import PhysicsContext
 from .errors import InvalidInputError, UnsupportedOperationError
 from .potentials import (
@@ -24,7 +26,7 @@ from .potentials import (
     Rectangular,
     asymptotic_values,
 )
-from .wkb import DEFAULT_QUADRATURE, QuadratureControl, integrate_adaptive
+from .wkb import DEFAULT_QUADRATURE, QuadratureControl, _integrate_gauss_legendre, _on_array
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,9 @@ class BoundResult:
 
 
 def _sech_sq(x: float) -> float:
-    return 1.0 / math.cosh(x) ** 2
+    # 4 e^{-2x} / (1 + e^{-2x})^2: no cosh to overflow for a large exponent
+    t = math.exp(-2.0 * abs(x))
+    return 4.0 * t / (1.0 + t) ** 2
 
 
 def transmission_bound(
@@ -48,6 +52,9 @@ def transmission_bound(
     v_asymptotic: float = 0.0,
 ) -> BoundResult:
     """Numeric-quadrature form of the sech^2 lower bound.
+
+    The integral runs on the Gauss-Legendre rule of ``wkb``, with the scalar
+    callable applied node by node.
 
     ``v_asymptotic`` is the constant potential value outside the window, from
     which k0 is built; the energy must propagate there (E > v_asymptotic).
@@ -65,10 +72,12 @@ def transmission_bound(
     two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
     k0 = math.sqrt(two_m_over_h2 * (energy - v_asymptotic))
 
-    def integrand(x: float) -> float:
-        return two_m_over_h2 * abs(potential(x) - v_asymptotic) / k0
+    v = _on_array(potential)
 
-    integral = 0.5 * integrate_adaptive(integrand, x1, x2, ctrl)
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return two_m_over_h2 * np.abs(v(x) - v_asymptotic) / k0
+
+    integral = 0.5 * _integrate_gauss_legendre(integrand, x1, x2, ctrl)
     return BoundResult(lower_bound=_sech_sq(integral), integral_value=integral)
 
 

@@ -87,11 +87,9 @@ def rectangular_below(
     return ScatteringAmplitudes(t=t, r=r, k_in=k, k_out=k)
 
 
-def _cos_of_principal_sqrt(d: float) -> float:
-    # cos(pi sqrt(d)) with the imaginary-argument case rewritten as cosh
-    if d >= 0.0:
-        return math.cos(math.pi * math.sqrt(d))
-    return math.cosh(math.pi * math.sqrt(-d))
+def _scaled_cosh(y: float, scale: float) -> float:
+    # cosh(y) e^{-scale}, finite for |y| <= scale
+    return 0.5 * (math.exp(abs(y) - scale) + math.exp(-abs(y) - scale))
 
 
 def eckart_transmission(p: Eckart, energy: float, ctx: PhysicsContext) -> float:
@@ -153,6 +151,9 @@ def eckart_reflection_paper(
     asymptote is zero.  Neither reproduces 1 - T in general, and in the
     cosh branch (v0 > hbar^2/(8 m a^2)) the quotient can exceed 1, so
     comparison tables use (T, 1 - T) as the primary pair.
+
+    Numerator and denominator are multiplied by e^{-M}, M the largest cosh
+    argument, so thick or strong barriers cannot overflow.
     """
     k_minus, k_plus = asymptotic_wavenumbers(p, energy, ctx)
     if convention == "paper":
@@ -171,9 +172,18 @@ def eckart_reflection_paper(
             f"reflection formula needs k+^2 + k-^2 - k^2 >= 0, got {w_sq!r}"
         )
     w = math.sqrt(w_sq)
-    cb = _cos_of_principal_sqrt(1.0 - 8.0 * ctx.mass * p.v0 * p.a**2 / ctx.hbar**2)
-    num = math.cosh(math.pi * p.a * (k - w)) - cb
-    den = math.cosh(math.pi * p.a * (k + w)) - cb
+    y_num, y_den = math.pi * p.a * (k - w), math.pi * p.a * (k + w)
+    d = 1.0 - 8.0 * ctx.mass * p.v0 * p.a**2 / ctx.hbar**2
+    # cos(pi b), which is cosh(pi sqrt(-d)) once d < 0
+    scale = max(abs(y_num), abs(y_den))
+    if d >= 0.0:
+        cb = math.cos(math.pi * math.sqrt(d)) * math.exp(-scale)
+    else:
+        y_b = math.pi * math.sqrt(-d)
+        scale = max(scale, y_b)
+        cb = _scaled_cosh(y_b, scale)
+    num = _scaled_cosh(y_num, scale) - cb
+    den = _scaled_cosh(y_den, scale) - cb
     return num / den
 
 
@@ -264,7 +274,8 @@ def hulthen_amplitudes(
     q_pow_2mu = cmath.exp(2 * mu * math.log(q))
     t = one_minus_q_pow * q_pow_2mu / (1 + 2 * mu) * t_num / denom
 
-    flux = math.sqrt((par.energy + par.k) / (par.energy - par.k))
+    # sqrt((E + k)/(E - k)) with E - k = m^2/(E + k): no cancellation once k rounds to E
+    flux = (par.energy + par.k) / par.mass
     r = -q * q_pow_2mu * a_plus / (1 + 2 * mu) * flux * r_num / denom
 
     return ScatteringAmplitudes(t=t, r=r, k_in=par.k, k_out=par.k)

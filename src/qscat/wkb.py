@@ -4,15 +4,16 @@ T_w = exp(-2 sqrt(2m/hbar^2) * integral of sqrt(V(x) - E) over the barrier).
 
 ``wkb_for_potential`` uses what each family has in closed form: the
 rectangular action is 2a sqrt(v0 - E), and the Hulthen and Eckart turning
-points solve V(x) = E exactly.  The remaining actions are integrated with a
-Gauss-Legendre rule on numpy arrays of nodes (48 against 96 nodes, halving
-the interval until they agree); a region bounded by turning points is split
-at its midpoint and substituted u^2 = x - x1 (resp. x2 - x), which turns the
-square-root edge into a smooth function of u.
+points solve V(x) = E exactly.  Every other action, of a family or of an
+arbitrary potential callable passed to ``wkb_transmission``, goes through one
+routine: a Gauss-Legendre rule on numpy arrays of nodes (48 against 96 nodes,
+halving the interval until they agree); a region bounded by turning points is
+split at its midpoint and substituted u^2 = x - x1 (resp. x2 - x), which
+turns the square-root edge into a smooth function of u.  A scalar callable
+is applied node by node.
 
-``wkb_transmission``, ``integrate_adaptive`` (adaptive Simpson) and
-``find_turning_points`` (scan and bisection) are the generic path for
-arbitrary potential callables.
+``find_turning_points`` (scan and bisection) solves the region of an
+arbitrary potential callable.
 """
 
 from __future__ import annotations
@@ -79,64 +80,6 @@ def fixed_limits(x1: float, x2: float) -> BarrierRegion:
     return BarrierRegion(x1, x2, RegionSource.FIXED_LIMITS)
 
 
-def _adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    tol: float,
-    depth: int,
-    state: dict,
-) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol or depth <= 0:
-        if depth <= 0 and abs(delta) > 15.0 * tol:
-            state["failed"] = True
-            state["residual"] += abs(delta) / 15.0
-        return left + right + delta / 15.0
-    return _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1, state
-    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1, state)
-
-
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    ctrl: QuadratureControl = DEFAULT_QUADRATURE,
-) -> float:
-    """Adaptive Simpson with interval-doubling error estimate.
-
-    Raises ConvergenceError (carrying the best estimate) if any subinterval
-    still exceeds its tolerance share at max_depth.
-    """
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    state = {"failed": False, "residual": 0.0}
-    value = _adaptive_simpson(f, a, b, fa, fm, fb, whole, ctrl.abs_tol, ctrl.max_depth, state)
-    if state["failed"]:
-        raise ConvergenceError(
-            f"adaptive quadrature did not reach abs_tol={ctrl.abs_tol:g} within "
-            f"max_depth={ctrl.max_depth} (achieved estimate {value!r}, "
-            f"residual ~{state['residual']:.3e})",
-            estimate=value,
-            last_term=state["residual"],
-        )
-    return value
-
-
 @functools.cache
 def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes of both orders on [-1, 1] in one array, then each order's weights.
@@ -149,22 +92,29 @@ def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _integrate_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, abs_tol: float, max_depth: int
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    ctrl: QuadratureControl,
+    breaks: tuple[float, ...] = (),
 ) -> float:
     """Integral of an array function f over [a, b], 48 against 96 Gauss-Legendre nodes.
 
-    Intervals whose two estimates differ by more than their share of abs_tol
+    The integration starts from the sub-intervals between a, the interior
+    ``breaks`` (where f is not smooth) and b, each with an equal share of
+    abs_tol.  Intervals whose two estimates differ by more than their share
     are halved, at most max_depth times, and all intervals of one level go to
-    f in one call.  ConvergenceError carries the best estimate.  Refinement
-    also stops once the unresolved difference fails to halve with the
-    interval: the halved tolerance shares can then never be met (rounding
-    noise in a large action does this), and halving further would only
-    multiply the intervals.
+    f in one call.  ConvergenceError carries the best estimate of the whole
+    integral.  Refinement also stops once the unresolved difference fails to
+    halve with the interval: the halved tolerance shares can then never be
+    met (rounding noise in a large action does this), and halving further
+    would only multiply the intervals.
     """
     nodes, w_coarse, w_fine = _gauss_legendre_rule()
-    lo, hi = np.array([a]), np.array([b])
-    tol, total, pending_before = abs_tol, 0.0, math.inf
-    for depth in range(max_depth + 1):
+    edges = np.array([a, *breaks, b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    tol, total, pending_before = ctrl.abs_tol / lo.size, 0.0, math.inf
+    for depth in range(ctrl.max_depth + 1):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         fx = f(mid[:, None] + half[:, None] * nodes)
         coarse = half * (fx[:, :_GL_COARSE] @ w_coarse)
@@ -175,17 +125,67 @@ def _integrate_gauss_legendre(
         if done.all():
             return float(total)
         pending = float(residual[~done].sum())
-        if depth == max_depth or not pending <= 0.5 * pending_before:  # NaN stops too
+        if depth == ctrl.max_depth or not pending <= 0.5 * pending_before:  # NaN stops too
             break
         lo, hi, mid = lo[~done], hi[~done], mid[~done]
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         tol, pending_before = 0.5 * tol, pending
     estimate = float(total + fine[~done].sum())
     raise ConvergenceError(
-        f"Gauss-Legendre quadrature did not reach abs_tol={abs_tol:g} after {depth} of at "
-        f"most {max_depth} halvings (achieved estimate {estimate!r}, residual ~{pending:.3e})",
+        f"Gauss-Legendre quadrature did not reach abs_tol={ctrl.abs_tol:g} after {depth} of "
+        f"at most {ctrl.max_depth} halvings (achieved estimate {estimate!r}, "
+        f"residual ~{pending:.3e})",
         estimate=estimate,
         last_term=pending,
+    )
+
+
+def _on_array(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Array function that applies the scalar callable f at each point."""
+    return lambda x: np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _action(
+    v: Callable[[np.ndarray], np.ndarray],
+    energy: float,
+    region: BarrierRegion,
+    ctrl: QuadratureControl,
+    breaks: tuple[float, ...] = (),
+) -> float:
+    """Integral of sqrt(V(x) - E) over the region, for an array function V.
+
+    V must satisfy V >= E on the region; dips below E - 1e-12 raise
+    InvalidInputError, smaller negatives are clamped to zero under the
+    radical.  Fixed limits are integrated in x, split at ``breaks``, with V
+    also checked at both ends (the Gauss nodes are interior points).  Between
+    solved turning points the region is split at its midpoint and substituted
+    u^2 = x - x1 (resp. x2 - x), which turns the square-root edge into a
+    smooth function of u; the two halves are s = u in [0, L] and s = -u in
+    [-R, 0] of one integral, split at s = 0.
+    """
+
+    def sqrt_gap(x: np.ndarray) -> np.ndarray:
+        gap = v(x) - energy
+        worst = int(np.argmin(gap))
+        if gap.flat[worst] < -_NEGATIVE_SLACK:
+            raise InvalidInputError(
+                f"V(x) < E inside the barrier region at x = {float(x.flat[worst])!r} "
+                f"(V - E = {float(gap.flat[worst])!r}); shrink the region or use solved "
+                f"turning points"
+            )
+        return np.sqrt(np.maximum(gap, 0.0))
+
+    x1, x2 = region.x1, region.x2
+    if region.source is RegionSource.FIXED_LIMITS:
+        sqrt_gap(np.array([x1, x2]))
+        return _integrate_gauss_legendre(sqrt_gap, x1, x2, ctrl, breaks)
+    mid = 0.5 * (x1 + x2)
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return 2.0 * np.abs(s) * sqrt_gap(np.where(s > 0.0, x1 + s * s, x2 - s * s))
+
+    return _integrate_gauss_legendre(
+        integrand, -math.sqrt(x2 - mid), math.sqrt(mid - x1), ctrl, (0.0,)
     )
 
 
@@ -202,35 +202,8 @@ def wkb_transmission(
     E - 1e-12 raise InvalidInputError, smaller negatives are clamped to zero
     under the radical.
     """
-
-    def integrand(x: float) -> float:
-        d = potential(x) - energy
-        if d < -_NEGATIVE_SLACK:
-            raise InvalidInputError(
-                f"V(x) < E inside the barrier region at x = {x!r} (V - E = {d!r}); "
-                f"shrink the region or use solved turning points"
-            )
-        return math.sqrt(d) if d > 0.0 else 0.0
-
-    if region.source is RegionSource.SOLVED_TURNING_POINTS:
-        # split at the midpoint and substitute u^2 = x - x1 (resp. x2 - x) so the
-        # sqrt edge behavior integrates as a smooth polynomial in u
-        mid = 0.5 * (region.x1 + region.x2)
-        half = QuadratureControl(abs_tol=0.5 * ctrl.abs_tol, max_depth=ctrl.max_depth)
-
-        def left(u: float) -> float:
-            return 2.0 * u * integrand(region.x1 + u * u)
-
-        def right(u: float) -> float:
-            return 2.0 * u * integrand(region.x2 - u * u)
-
-        action = integrate_adaptive(left, 0.0, math.sqrt(mid - region.x1), half)
-        action += integrate_adaptive(right, 0.0, math.sqrt(region.x2 - mid), half)
-    else:
-        action = integrate_adaptive(integrand, region.x1, region.x2, ctrl)
-
-    exponent = 2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar * action
-    return math.exp(-exponent)
+    action = _action(_on_array(potential), energy, region, ctrl)
+    return math.exp(-2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar * action)
 
 
 def find_turning_points(
@@ -345,36 +318,6 @@ def eckart_turning_points(p: Eckart, energy: float) -> BarrierRegion:
     raise NoBarrierError(f"V(x) never exceeds E = {energy!r} for {p!r}")
 
 
-def _sqrt_gap(p: PotentialSpec, energy: float, x: np.ndarray) -> np.ndarray:
-    """sqrt(V(x) - E) on an array of points that must lie inside the barrier."""
-    gap = evaluate(p, x) - energy
-    worst = int(np.argmin(gap))
-    if gap.flat[worst] < -_NEGATIVE_SLACK:
-        raise InvalidInputError(
-            f"V(x) < E inside the barrier region at x = {float(x.flat[worst])!r} "
-            f"(V - E = {float(gap.flat[worst])!r}); shrink the region or use solved turning points"
-        )
-    return np.sqrt(np.maximum(gap, 0.0))
-
-
-def _turning_point_action(
-    p: PotentialSpec, energy: float, region: BarrierRegion, ctrl: QuadratureControl
-) -> float:
-    """Action between solved turning points, split at the midpoint, in u^2 = x - x1 (x2 - x)."""
-    x1, x2 = region.x1, region.x2
-    mid = 0.5 * (x1 + x2)
-    tol = 0.5 * ctrl.abs_tol
-    left = _integrate_gauss_legendre(
-        lambda u: 2.0 * u * _sqrt_gap(p, energy, x1 + u * u),
-        0.0, math.sqrt(mid - x1), tol, ctrl.max_depth,
-    )
-    right = _integrate_gauss_legendre(
-        lambda u: 2.0 * u * _sqrt_gap(p, energy, x2 - u * u),
-        0.0, math.sqrt(x2 - mid), tol, ctrl.max_depth,
-    )
-    return left + right
-
-
 def wkb_for_potential(
     p: PotentialSpec,
     energy: float,
@@ -398,25 +341,17 @@ def wkb_for_potential(
                 f"WKB tunneling needs 0 < E < v0, got E={energy!r}, v0={p.v0!r}"
             )
         action = 2.0 * p.a * math.sqrt(p.v0 - energy)
-    elif isinstance(p, Hulthen):
-        if solve_turning_points:
+    else:
+        breaks = ()
+        if isinstance(p, Hulthen) and solve_turning_points:
             edge = hulthen_turning_point(p, energy)
             region = BarrierRegion(-edge, edge, RegionSource.SOLVED_TURNING_POINTS)
-            action = _turning_point_action(p, energy, region, ctrl)
+        elif isinstance(p, Hulthen):
+            # the fixed window is split at the cusp of V at x = 0
+            region, breaks = default_region(p, energy), (0.0,)
+        elif isinstance(p, Eckart):
+            region = eckart_turning_points(p, energy)
         else:
-            region = default_region(p, energy)
-            # Gauss nodes are interior points: check V >= E at the window ends too
-            _sqrt_gap(p, energy, np.array([region.x1, region.x2]))
-            tol = 0.5 * ctrl.abs_tol
-
-            def sqrt_gap(x):
-                return _sqrt_gap(p, energy, x)
-
-            # split at the cusp of V at x = 0
-            action = _integrate_gauss_legendre(sqrt_gap, region.x1, 0.0, tol, ctrl.max_depth)
-            action += _integrate_gauss_legendre(sqrt_gap, 0.0, region.x2, tol, ctrl.max_depth)
-    elif isinstance(p, Eckart):
-        action = _turning_point_action(p, energy, eckart_turning_points(p, energy), ctrl)
-    else:
-        raise UnsupportedOperationError(f"unknown potential {type(p).__name__}")
+            raise UnsupportedOperationError(f"unknown potential {type(p).__name__}")
+        action = _action(lambda x: evaluate(p, x), energy, region, ctrl, breaks)
     return math.exp(-2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar * action)

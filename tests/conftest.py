@@ -6,7 +6,7 @@ import pytest
 
 from qscat import PhysicsContext
 
-# the CLI and backend tests start `python` subprocesses; give them the same
+# the CLI and WKB tests start `python` subprocesses; give them the same
 # checkout's src that pytest's `pythonpath` setting gives this process
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))

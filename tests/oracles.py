@@ -82,6 +82,31 @@ def mp_hyp2f1(a: complex, b: complex, c: complex, z: float, dps: int = 34) -> co
         return complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpf(z)))
 
 
+def hyp2f1_series_reference(a, b, c, z, rel_tol, max_terms):
+    """Gauss 2F1 series term by term in plain Python, the reference for the
+    numpy block kernel behind ``qscat.specfun.gauss_2f1``.
+
+    Same stopping rule: three consecutive terms below rel_tol times the
+    running sum.  Returns (value, terms_used, converged, last_term_mag).
+    """
+    # term ratio: t_{n+1}/t_n = (a+n)(b+n) z / ((c+n)(n+1))
+    s = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    small = 0
+    n = 0
+    while n < max_terms:
+        term = term * ((a + n) * (b + n) * z / ((c + n) * (n + 1.0)))
+        s = s + term
+        if abs(term) < rel_tol * abs(s):
+            small += 1
+            if small == 3:
+                return s, n + 1, True, abs(term)
+        else:
+            small = 0
+        n += 1
+    return s, n, False, abs(term)
+
+
 def mp_hulthen_probabilities(energy, mass, v0, q, a, dps: int = 40):
     """High-precision evaluation of the Hulthen hypergeometric amplitudes."""
     with mp.workdps(dps):

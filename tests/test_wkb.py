@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from oracles import mp_wkb_transmission
 
 from qscat import (
+    BarrierRegion,
     Delta,
     Eckart,
     Hulthen,
@@ -28,10 +31,11 @@ from qscat.errors import (
     WrongCaseError,
 )
 from qscat.wkb import (
+    DEFAULT_QUADRATURE,
     RegionSource,
+    _integrate_gauss_legendre,
     eckart_turning_points,
     hulthen_turning_point,
-    integrate_adaptive,
 )
 
 
@@ -150,14 +154,23 @@ class TestFamilyTurningPoints:
             wkb_for_potential(h, energy, ctx)
 
     def test_nonconvergence_reports_estimate(self, ctx):
+        # the estimate is that of the whole action, in every path that integrates
         ctrl = QuadratureControl(abs_tol=1e-300, max_depth=1)
-        h = Hulthen(v0=1.0, a=0.5, q=0.9)
-        cases = ((h, False), (h, True), (self.ASYMMETRIC, False))
-        for p, solve in cases:
+        h, e = Hulthen(v0=1.0, a=0.5, q=0.9), self.ASYMMETRIC
+        edge = hulthen_turning_point(h, 1.0)
+        solved = BarrierRegion(-edge, edge, RegionSource.SOLVED_TURNING_POINTS)
+        cases = [
+            lambda c: wkb_for_potential(h, 1.0, ctx, c),
+            lambda c: wkb_for_potential(h, 1.0, ctx, c, solve_turning_points=True),
+            lambda c: wkb_for_potential(e, 1.0, ctx, c),
+            lambda c: wkb_transmission(lambda x: evaluate(h, x), 1.0, fixed_limits(-1.0, 1.0), ctx, c),
+            lambda c: wkb_transmission(lambda x: evaluate(h, x), 1.0, solved, ctx, c),
+        ]
+        for run in cases:
             with pytest.raises(ConvergenceError) as exc_info:
-                wkb_for_potential(p, 1.0, ctx, ctrl, solve_turning_points=solve)
-            # the estimate is that of the sub-integral that failed
-            assert 0.0 < exc_info.value.estimate < math.inf
+                run(ctrl)
+            from_estimate = math.exp(-2.0 * math.sqrt(2.0) * exc_info.value.estimate)
+            assert from_estimate == pytest.approx(run(DEFAULT_QUADRATURE), rel=1e-9)
 
 
 class TestGenericRegion:
@@ -183,6 +196,24 @@ class TestGenericRegion:
         with pytest.raises(ConvergenceError) as exc_info:
             wkb_transmission(lambda x: evaluate(h, x), 0.5, fixed_limits(-1.0, 1.0), ctx, ctrl)
         assert exc_info.value.estimate is not None
+
+    def test_rounding_noise_stops_refinement(self):
+        # an action of ~3.5e7 carries rounding noise above abs_tol; refinement
+        # must give up with ConvergenceError instead of halving without end
+        code = (
+            "from qscat import NATURAL_UNITS, Hulthen, evaluate, fixed_limits, wkb_transmission\n"
+            "from qscat.errors import ConvergenceError\n"
+            "h = Hulthen(1e14, 0.5, 0.9)\n"
+            "try:\n"
+            "    wkb_transmission(lambda x: evaluate(h, x), 1.0, fixed_limits(-1, 1), NATURAL_UNITS)\n"
+            "except ConvergenceError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('no ConvergenceError')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_delta_unsupported(self, ctx):
         with pytest.raises(UnsupportedOperationError):
@@ -253,22 +284,19 @@ class TestAccuracyTrend:
         assert abs_err(100.0) < 1e-12 * abs_err(1.0)
 
 
-class TestAdaptiveSimpson:
+class TestGaussLegendre:
     def test_polynomial_is_exact(self):
-        # Simpson integrates cubics exactly
-        assert integrate_adaptive(lambda x: x**3 - 2 * x + 1, 0.0, 2.0) == pytest.approx(
-            2.0, rel=1e-14
-        )
+        # 48 nodes already integrate polynomials up to degree 95 exactly
+        got = _integrate_gauss_legendre(lambda x: x**3 - 2 * x + 1, 0.0, 2.0, DEFAULT_QUADRATURE)
+        assert got == pytest.approx(2.0, rel=1e-14)
 
     def test_sqrt_endpoint_needs_extra_depth_without_substitution(self):
-        # a bare sqrt edge converges, but slowly; the turning-point path avoids
-        # this by substituting u^2 = x - x1 (see the solved-region tests)
+        # a bare sqrt edge converges only after halving toward it; the
+        # turning-point path avoids this by substituting u^2 = x - x1
         with pytest.raises(ConvergenceError):
-            integrate_adaptive(lambda x: math.sqrt(x), 0.0, 1.0)
-        got = integrate_adaptive(
-            lambda x: math.sqrt(x), 0.0, 1.0, QuadratureControl(1e-10, 60)
-        )
-        assert got == pytest.approx(2.0 / 3.0, abs=1e-12)
+            _integrate_gauss_legendre(np.sqrt, 0.0, 1.0, QuadratureControl(1e-10, 1))
+        got = _integrate_gauss_legendre(np.sqrt, 0.0, 1.0, DEFAULT_QUADRATURE)
+        assert got == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_empty_interval(self):
-        assert integrate_adaptive(lambda x: 1.0, 1.0, 1.0) == 0.0
+        assert _integrate_gauss_legendre(np.ones_like, 1.0, 1.0, DEFAULT_QUADRATURE) == 0.0
