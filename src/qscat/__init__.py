@@ -32,6 +32,7 @@ from .exact import (
     eckart_transmission,
     eckart_transmission_amplitude,
     hulthen_amplitudes,
+    hulthen_amplitudes_grid,
     hulthen_params,
     rectangular_above,
     rectangular_below,

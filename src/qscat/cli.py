@@ -21,6 +21,7 @@ from .exact import eckart_reflection_paper
 from .resonance import Kind, ResonanceListing, analytic_resonances, numeric_resonances
 from .sweep import (
     METHOD_ORDER,
+    SweepRow,
     SweepSpec,
     evaluate_methods,
     map_sweep_variable,
@@ -193,13 +194,6 @@ def _expand_spec_files(argv: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 # eval / wkb / bound
 
-class _EvalRow:
-    def __init__(self, value, results, bound_gap):
-        self.variable_value = value
-        self.results = results
-        self.bound_gap = bound_gap
-
-
 def _cmd_eval(args, forced_method: str | None = None) -> int:
     try:
         potential = _build_potential(args)
@@ -210,7 +204,7 @@ def _cmd_eval(args, forced_method: str | None = None) -> int:
     methods = frozenset([forced_method]) if forced_method else frozenset(args.method)
     results, bound_gap = evaluate_methods(potential, args.energy, methods, ctx)
     header = ["energy"] + _method_columns(methods)
-    row = _EvalRow(args.energy, results, bound_gap)
+    row = SweepRow(args.energy, results, bound_gap)
     cells = _row_cells(row, methods)
     if getattr(args, "r_convention", None) and isinstance(potential, Eckart):
         header.append(f"exact_R_{args.r_convention}")

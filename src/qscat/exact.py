@@ -2,7 +2,7 @@
 
 Each case maps to one function: delta, rectangular above/below the barrier,
 Eckart transmission (plus its literature reflection formula), and the Hulthen
-hypergeometric amplitudes.
+hypergeometric amplitudes, whose 2F1 series for an energy grid run in lockstep.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import sys
 from dataclasses import dataclass
 
 from .core import PhysicsContext, ScatteringAmplitudes
-from .errors import InvalidInputError, WrongCaseError
+from .errors import InvalidInputError, QscatError, WrongCaseError
 from .potentials import Eckart, Hulthen, asymptotic_wavenumbers
-from .specfun import DEFAULT_SERIES, SeriesControl, gauss_2f1, log_gamma
+from .specfun import DEFAULT_SERIES, SeriesControl, _convergence_error, _hyp2f1_series, log_gamma
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -232,28 +232,8 @@ def hulthen_params(p: Hulthen, energy: float, mass: float) -> HulthenParams:
     )
 
 
-def hulthen_amplitudes(
-    p: Hulthen,
-    energy: float,
-    mass: float = 1.0,
-    ctrl: SeriesControl = DEFAULT_SERIES,
-) -> ScatteringAmplitudes:
-    """Hypergeometric transmission/reflection amplitudes for the Hulthen barrier.
-
-    Six distinct 2F1 factors recur across the two amplitudes; each gets a
-    named intermediate (f1..f6) and the full assembly is frozen by golden
-    tests.  Series non-convergence and c-parameter poles bubble up from
-    gauss_2f1 (perturb the energy in that case).
-    """
-    par = hulthen_params(p, energy, mass)
-    mu, nu, lam, q = par.mu, par.nu, par.lam, p.q
-
-    f1 = gauss_2f1(1 + lam - mu - nu, 1 + lam - mu + nu, 2 - 2 * mu, q, ctrl)
-    f2 = gauss_2f1(lam + mu - nu, lam + mu + nu, 1 + 2 * mu, q, ctrl)
-    f3 = gauss_2f1(1 + lam + mu - nu, 1 + lam + mu + nu, 2 + 2 * mu, q, ctrl)
-    f4 = gauss_2f1(lam - mu - nu, lam - mu + nu, 1 - 2 * mu, q, ctrl)
-    f5 = gauss_2f1(1 - lam - mu - nu, 1 - lam - mu + nu, 2 - 2 * mu, q, ctrl)
-    f6 = gauss_2f1(-lam - mu - nu, -lam - mu + nu, 1 - 2 * mu, q, ctrl)
+def _hulthen_assemble(par: HulthenParams, f1, f2, f3, f4, f5, f6) -> ScatteringAmplitudes:
+    mu, nu, lam, q = par.mu, par.nu, par.lam, par.q
 
     a_plus = lam**2 + 2 * lam * mu + mu**2 - nu**2
     a_minus = lam**2 - 2 * lam * mu + mu**2 - nu**2
@@ -279,3 +259,60 @@ def hulthen_amplitudes(
     r = -q * q_pow_2mu * a_plus / (1 + 2 * mu) * flux * r_num / denom
 
     return ScatteringAmplitudes(t=t, r=r, k_in=par.k, k_out=par.k)
+
+
+def hulthen_amplitudes_grid(
+    p: Hulthen, energies, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES
+) -> list[ScatteringAmplitudes | QscatError]:
+    """Hulthen amplitudes at each energy, or the error that energy raises.
+
+    The six 2F1 factors of all energies share one lockstep kernel call, which
+    gives each factor the result of its own series: no point depends on the
+    others.  A series that fails to converge gives its point gauss_2f1's
+    ConvergenceError, an overflow of double range an InvalidInputError.
+    """
+    out, rows = [], []
+    for energy in energies:
+        try:
+            out.append(par := hulthen_params(p, energy, mass))
+        except (QscatError, ArithmeticError) as exc:
+            out.append(exc)
+            continue
+        mu, nu, lam = par.mu, par.nu, par.lam
+        rows += [
+            (1 + lam - mu - nu, 1 + lam - mu + nu, 2 - 2 * mu),
+            (lam + mu - nu, lam + mu + nu, 1 + 2 * mu),
+            (1 + lam + mu - nu, 1 + lam + mu + nu, 2 + 2 * mu),
+            (lam - mu - nu, lam - mu + nu, 1 - 2 * mu),
+            (1 - lam - mu - nu, 1 - lam - mu + nu, 2 - 2 * mu),
+            (-lam - mu - nu, -lam - mu + nu, 1 - 2 * mu),
+        ]
+    series = iter(_hyp2f1_series(rows, p.q, ctrl.rel_tol, ctrl.max_terms))
+    for i, par in enumerate(out):
+        if isinstance(par, HulthenParams):
+            factors = [next(series) for _ in range(6)]
+            try:
+                for value, _, converged, last in factors:
+                    if not converged:
+                        raise _convergence_error(value, last, p.q, ctrl)
+                out[i] = _hulthen_assemble(par, *(f[0] for f in factors))
+            except (QscatError, ArithmeticError) as exc:
+                out[i] = exc
+        if isinstance(out[i], ArithmeticError):
+            out[i] = InvalidInputError(f"energy {energies[i]!r} overflows double range: {out[i]}")
+    return out
+
+
+def hulthen_amplitudes(
+    p: Hulthen, energy: float, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES
+) -> ScatteringAmplitudes:
+    """Hypergeometric transmission/reflection amplitudes for the Hulthen barrier.
+
+    Six distinct 2F1 factors recur across the two amplitudes; each gets a
+    named intermediate (f1..f6) and the full assembly is frozen by golden
+    tests.  The one-energy case of hulthen_amplitudes_grid; raises its error.
+    """
+    (result,) = hulthen_amplitudes_grid(p, [energy], mass, ctrl)
+    if isinstance(result, QscatError):
+        raise result
+    return result

@@ -3,8 +3,8 @@
 Only what the exact Eckart and Hulthen solutions need: log Gamma(z) for
 complex z, and 2F1(a, b; c; z) with complex parameters and a real argument
 in [0, 1).  The 2F1 power series dominates the runtime of the Hulthen sweeps
-(hundreds of terms per series, six series per point); it is summed in numpy
-blocks of terms.
+(hundreds of terms per series, six series per point); all series of a batch
+are summed in lockstep, in numpy blocks of terms.
 """
 
 from __future__ import annotations
@@ -33,9 +33,11 @@ _LANCZOS_COEFFS = (
 )
 
 # the 2F1 series stops after this many consecutive terms below rel_tol times
-# the partial sum, and sums this many terms per numpy block
+# the partial sum, and sums this many terms per numpy block; at most
+# _MAX_ROWS series (four Hulthen energies) share a block, bounding its memory
 _CONSECUTIVE_SMALL = 3
 _BLOCK = 256
+_MAX_ROWS = 24
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
@@ -105,40 +107,59 @@ def gamma(z) -> complex:
     return cmath.exp(log_gamma(z))
 
 
-def _hyp2f1_series(a, b, c, z, rel_tol, max_terms):
-    """Raw Gauss series sum; returns (value, terms_used, converged, last_term_mag).
+def _hyp2f1_series(rows, z, rel_tol, max_terms):
+    """Raw Gauss series sums: (value, terms_used, converged, last_term_mag) per row (a, b, c).
 
-    Term ratio t_{n+1}/t_n = (a+n)(b+n) z / ((c+n)(n+1)), evaluated for a
-    block of n at a time; cumulative products and sums give the terms and
-    partial sums of the block, and the first index that ends a run of
+    Term ratio t_{n+1}/t_n = (a+n)(b+n) z / ((c+n)(n+1)), for a block of n at
+    a time; cumulative products and sums along the term axis give the terms
+    and partial sums, and the first index that ends a run of
     _CONSECUTIVE_SMALL small terms (counting the run carried in from the
-    previous block) stops the series.
+    previous block) stops the row.  Up to _MAX_ROWS rows run in lockstep; a
+    row leaves the active set when it stops, so it gets exactly the result
+    of its series run alone.  Overflowing or NaN terms are never small.
     """
-    s = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    carry = 0
-    n0 = 0
-    while n0 < max_terms:
-        ns = np.arange(n0, min(n0 + _BLOCK, max_terms), dtype=np.float64)
-        ratios = (a + ns) * (b + ns) * z / ((c + ns) * (ns + 1.0))
-        terms = term * np.cumprod(ratios)
-        sums = s + np.cumsum(terms)
-        flags = np.abs(terms) < rel_tol * np.abs(sums)
-        # run length of consecutive True ending at each index, with carry-in
-        idx = np.arange(flags.size)
-        false_pos = np.where(~flags, idx, -1)
-        last_false = np.maximum.accumulate(false_pos)
-        runlen = idx - last_false
-        runlen = np.where(last_false == -1, runlen + carry, runlen)
-        hits = np.nonzero(runlen >= _CONSECUTIVE_SMALL)[0]
-        if hits.size:
-            j = int(hits[0])
-            return complex(sums[j]), n0 + j + 1, True, float(np.abs(terms[j]))
-        term = complex(terms[-1])
-        s = complex(sums[-1])
-        carry = int(runlen[-1]) if flags[-1] else 0
-        n0 += flags.size
-    return s, n0, False, abs(term)
+    if not rows or len(rows) > _MAX_ROWS:
+        return [out for i in range(0, len(rows), _MAX_ROWS)
+                for out in _hyp2f1_series(rows[i : i + _MAX_ROWS], z, rel_tol, max_terms)]
+    a, b, c = np.array(rows, dtype=np.complex128).T[:, :, None]
+    out = [None] * a.shape[0]
+    active = np.arange(a.shape[0])  # row index of each active row
+    s = term = 1.0 + 0.0j
+    carry = n0 = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n0 < max_terms:
+            ns = np.arange(n0, min(n0 + _BLOCK, max_terms), dtype=np.float64)
+            ratios = (a + ns) * (b + ns) * z / ((c + ns) * (ns + 1.0))
+            terms = term * np.cumprod(ratios, axis=1)
+            sums = s + np.cumsum(terms, axis=1)
+            flags = (mags := np.abs(terms)) < rel_tol * np.abs(sums)
+            # small-term run ending at each index: distance to the last large term or to -1 - carry
+            idx = np.arange(ns.size)
+            runlen = idx - np.maximum.accumulate(np.where(flags, -1 - carry, idx), axis=1)
+            hits = runlen >= _CONSECUTIVE_SMALL
+            term, s, carry = terms[:, -1:], sums[:, -1:], runlen[:, -1:]
+            if hits.flat[hits.argmax()]:  # some row stops in this block
+                keep = []
+                for r, j in enumerate(hits.argmax(axis=1).tolist()):
+                    if hits[r, j]:
+                        out[active[r]] = (complex(sums[r, j]), n0 + j + 1, True, float(mags[r, j]))
+                    else:
+                        keep.append(r)
+                if not keep:
+                    return out
+                active, a, b, c, term, s, carry = (
+                    v[keep] for v in (active, a, b, c, term, s, carry))
+            n0 += ns.size
+    for r, v, t in zip(active, s[:, 0].tolist(), term[:, 0].tolist()):
+        out[r] = (v, n0, False, abs(t))
+    return out
+
+
+def _convergence_error(value, last, z, ctrl) -> ConvergenceError:
+    return ConvergenceError(
+        f"2F1 series did not converge within {ctrl.max_terms} terms "
+        f"(last term magnitude {last:.3e}); argument z = {z} may be too close to 1",
+        estimate=value, last_term=last)
 
 
 def gauss_2f1(a, b, c, z: float, ctrl: SeriesControl = DEFAULT_SERIES) -> complex:
@@ -160,12 +181,7 @@ def gauss_2f1(a, b, c, z: float, ctrl: SeriesControl = DEFAULT_SERIES) -> comple
         raise PoleError(f"gauss_2f1 pole: c = {c} is a non-positive integer")
     if z == 0.0:
         return 1.0 + 0.0j
-    value, used, converged, last = _hyp2f1_series(a, b, c, z, ctrl.rel_tol, ctrl.max_terms)
+    ((value, _, converged, last),) = _hyp2f1_series([(a, b, c)], z, ctrl.rel_tol, ctrl.max_terms)
     if not converged:
-        raise ConvergenceError(
-            f"2F1 series did not converge within {ctrl.max_terms} terms "
-            f"(last term magnitude {last:.3e}); argument z = {z} may be too close to 1",
-            estimate=value,
-            last_term=last,
-        )
+        raise _convergence_error(value, last, z, ctrl)
     return value

@@ -1,9 +1,9 @@
 """Grid evaluation engine producing cross-method rows (exact vs WKB vs bound).
 
-Each row is computed independently from pure functions, so identical sweep
-inputs always produce identical output and rows may be evaluated in any
-order.  Per-point physics failures are recorded in the row rather than
-aborting the sweep.
+Rows are evaluated as one batch (the Hulthen 2F1 series in lockstep), yet each
+row depends only on its own grid value, so identical inputs give identical
+output in any order or batch.  Per-point failures, overflows included, are
+recorded in the row rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .core import (
     probabilities_from_amplitudes,
     unitarity_defect,
 )
-from .errors import InvalidInputError, QscatError
+from .errors import DegenerateEnergyError, InvalidInputError, QscatError
 from .exact import (
     delta_amplitudes,
     eckart_transmission,
-    hulthen_amplitudes,
+    hulthen_amplitudes_grid,
     rectangular_above,
     rectangular_below,
 )
@@ -61,9 +61,7 @@ class SweepRow:
     gap_marker: bool = False
 
 
-def _exact_result(
-    p: PotentialSpec, energy: float, ctx: PhysicsContext, series: SeriesControl
-) -> MethodResult:
+def _exact_result(p: PotentialSpec, energy: float, ctx: PhysicsContext, grid_entry) -> MethodResult:
     if isinstance(p, Delta):
         amps = delta_amplitudes(p.alpha, energy, ctx)
     elif isinstance(p, Rectangular):
@@ -76,7 +74,9 @@ def _exact_result(
         # unitarity is mandatory for the elastic channel: report (T, 1 - T)
         return MethodResult("exact", transmission=t, reflection=1.0 - t, defect=0.0)
     elif isinstance(p, Hulthen):
-        amps = hulthen_amplitudes(p, energy, ctx.mass, series)
+        if isinstance(grid_entry, QscatError):  # from hulthen_amplitudes_grid
+            raise grid_entry
+        amps = grid_entry
     else:
         raise InvalidInputError(f"unknown potential {type(p).__name__}")
     prob = probabilities_from_amplitudes(amps)
@@ -86,6 +86,42 @@ def _exact_result(
         reflection=prob.reflection,
         defect=unitarity_defect(prob),
     )
+
+
+def _evaluate_pairs(pairs, methods, ctx, series, quadrature) -> list[tuple[dict, float | None]]:
+    """evaluate_methods at each (potential, energy) pair, or (None, exc): exc for every
+    method.  The Hulthen pairs of each potential share one hulthen_amplitudes_grid call."""
+    hulthen = {}
+    for h in {p for p, _ in pairs if isinstance(p, Hulthen) and "exact" in methods}:
+        points, energies = zip(*[(i, e) for i, (p, e) in enumerate(pairs) if p == h])
+        hulthen.update(zip(points, hulthen_amplitudes_grid(h, energies, ctx.mass, series)))
+    out = []
+    for i, (p, energy) in enumerate(pairs):
+        results: dict[str, MethodResult] = {}
+        for method in METHOD_ORDER:
+            if method not in methods:
+                continue
+            try:
+                if p is None:
+                    raise energy
+                if isinstance(p, Rectangular) and energy == p.v0:
+                    raise DegenerateEnergyError("both exact formulas are singular at E = v0")
+                if method == "exact":
+                    results[method] = _exact_result(p, energy, ctx, hulthen.get(i))
+                elif method == "wkb":
+                    t = wkb_for_potential(p, energy, ctx, quadrature)
+                    results[method] = MethodResult("wkb", transmission=t)
+                else:
+                    b = bound_for_potential(p, energy, ctx)
+                    results[method] = MethodResult("bound", transmission=b.lower_bound)
+            except (QscatError, ArithmeticError) as exc:
+                # an ArithmeticError is an input whose intermediates leave double range
+                code = exc.code if isinstance(exc, QscatError) else InvalidInputError.code
+                results[method] = MethodResult(method, error=code)
+        exact_res, bound_res = results.get("exact"), results.get("bound")
+        gap = exact_res and bound_res and exact_res.error is None and bound_res.error is None
+        out.append((results, exact_res.transmission - bound_res.transmission if gap else None))
+    return out
 
 
 def evaluate_methods(
@@ -98,42 +134,10 @@ def evaluate_methods(
 ) -> tuple[dict[str, MethodResult], float | None]:
     """All requested methods at one (potential, energy) point.
 
-    Physics-level failures become error codes on the affected method's result;
-    returns (results by method, exact-minus-bound gap or None).
+    Physics-level failures and overflows (``invalid``) become error codes on the
+    affected method's result; returns (results by method, exact-minus-bound gap or None).
     """
-    results: dict[str, MethodResult] = {}
-    if isinstance(p, Rectangular) and energy == p.v0:
-        # case boundary: both exact formulas are singular there
-        return (
-            {m: MethodResult(m, error="degenerate") for m in METHOD_ORDER if m in methods},
-            None,
-        )
-    for method in METHOD_ORDER:
-        if method not in methods:
-            continue
-        try:
-            if method == "exact":
-                results[method] = _exact_result(p, energy, ctx, series)
-            elif method == "wkb":
-                t = wkb_for_potential(p, energy, ctx, quadrature)
-                results[method] = MethodResult("wkb", transmission=t)
-            else:
-                b = bound_for_potential(p, energy, ctx)
-                results[method] = MethodResult("bound", transmission=b.lower_bound)
-        except QscatError as exc:
-            results[method] = MethodResult(method, error=exc.code)
-
-    bound_gap = None
-    exact_res = results.get("exact")
-    bound_res = results.get("bound")
-    if (
-        exact_res is not None
-        and bound_res is not None
-        and exact_res.error is None
-        and bound_res.error is None
-    ):
-        bound_gap = exact_res.transmission - bound_res.transmission
-    return results, bound_gap
+    return _evaluate_pairs([(p, energy)], methods, ctx, series, quadrature)[0]
 
 
 @dataclass(frozen=True)
@@ -202,20 +206,27 @@ def map_sweep_variable(
     )
 
 
+def _sweep_rows(spec: SweepSpec, xs: list[float]) -> list[SweepRow]:
+    pairs = []
+    for x in xs:
+        try:
+            pairs.append(map_sweep_variable(spec.potential, spec.variable, x, spec.ctx, spec.fixed))
+        except (QscatError, ArithmeticError) as exc:
+            pairs.append((None, exc))
+    evaluated = _evaluate_pairs(pairs, spec.methods, spec.ctx, spec.series, spec.quadrature)
+    rows = []
+    for x, (p, _), (results, gap) in zip(xs, pairs, evaluated):
+        marker = p is None or all(r.error == "degenerate" for r in results.values())
+        rows.append(SweepRow(x, results, bound_gap=gap, gap_marker=marker))
+    return rows
+
+
 def sweep_point(spec: SweepSpec, x: float) -> SweepRow:
     """Evaluate all requested methods at one grid value (pure, order-free)."""
-    try:
-        p, energy = map_sweep_variable(spec.potential, spec.variable, x, spec.ctx, spec.fixed)
-    except QscatError as exc:
-        results = {m: MethodResult(m, error=exc.code) for m in METHOD_ORDER if m in spec.methods}
-        return SweepRow(x, results, gap_marker=True)
-    results, bound_gap = evaluate_methods(
-        p, energy, spec.methods, spec.ctx, spec.series, spec.quadrature
-    )
-    gap = all(r.error == "degenerate" for r in results.values())
-    return SweepRow(x, results, bound_gap=bound_gap, gap_marker=gap)
+    return _sweep_rows(spec, [x])[0]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the full grid in ascending variable order."""
-    return [sweep_point(spec, float(x)) for x in spec.grid()]
+    """Evaluate the full grid in ascending variable order, as one batch (the
+    Hulthen 2F1 series of all points run in lockstep); row i is sweep_point."""
+    return _sweep_rows(spec, [float(x) for x in spec.grid()])

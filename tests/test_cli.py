@@ -296,6 +296,73 @@ class TestSweep:
             assert 0.0 <= bound <= t
 
 
+HULTHEN = ("--potential", "hulthen", "--v0", "1", "--a", "0.5", "--q", "0.9")
+
+
+class TestOverflowCells:
+    """Inputs whose intermediates leave double range give ERR:invalid cells on
+    the points that overflow and numbers on the others, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, invalid_rows",
+        [
+            (("eval", *HULTHEN, "--energy", "1e300"), [True]),  # E^2 in hulthen_params
+            (("eval", *HULTHEN, "--energy", "1e154"), [True]),  # complex exponentiation
+            (
+                ("eval", "--potential", "hulthen", "--v0", "1e300", "--a", "0.5", "--q", "0.9",
+                 "--energy", "2"),
+                [True],
+            ),
+            (
+                ("sweep", "--potential", "delta", "--alpha", "1", "--var", "k",
+                 "--lo", "1e200", "--hi", "1e300", "--points", "3"),
+                [True, True, True],  # map_sweep_variable: (hbar k)^2
+            ),
+            (
+                ("sweep", "--potential", "eckart", "--v0", "1", "--a", "1e300",
+                 "--var", "E", "--lo", "0.1", "--hi", "2", "--points", "3", "--methods", "exact"),
+                [True, True, True],
+            ),
+            (
+                ("sweep", *HULTHEN, "--var", "E", "--lo", "1.09", "--hi", "10", "--points", "3",
+                 "--methods", "bound", "--hbar", "1e-200"),
+                [True, True, True],  # division by zero in bound_for_potential
+            ),
+            (
+                ("sweep", *HULTHEN, "--var", "E", "--lo", "1.09", "--hi", "1e300", "--points", "3"),
+                [False, True, True],
+            ),
+        ],
+        ids=["hulthen-E1e300", "hulthen-E1e154", "hulthen-v0", "delta-k", "eckart-a",
+             "hulthen-bound-hbar", "hulthen-partly-finite"],
+    )
+    def test_overflow_is_invalid_cell(self, capsys, argv, invalid_rows):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == len(invalid_rows)
+        for row, invalid in zip(rows, invalid_rows):
+            cells = row.split(",")[1:]
+            if invalid:
+                assert cells == ["ERR:invalid"] * len(cells)
+            else:
+                assert all(math.isfinite(float(cell)) for cell in cells)
+
+    @pytest.mark.parametrize("v0, a", [("1e6", "1e-3"), ("1", "1e-300")])
+    def test_overflowing_series_is_noconv_without_warnings(self, capsys, v0, a):
+        # the 2F1 terms overflow (or start as NaN); pytest turns a RuntimeWarning into an error
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--potential", "hulthen", "--v0", v0, "--a", a, "--q", "0.9",
+            "--var", "E", "--lo", "1.09", "--hi", "10", "--points", "3", "--methods", "exact",
+        )
+        assert code == 0
+        assert err == ""
+        for row in out.strip().splitlines()[1:]:
+            assert row.split(",")[1:] == ["ERR:noconv"] * 3
+
+
 class TestResonancesCommand:
     def test_rectangular_table(self, capsys):
         code, out, _ = run_cli(

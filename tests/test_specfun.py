@@ -158,12 +158,33 @@ class TestKernelBackends:
             mu, nu, lam = _scattering_parameters(rng)
             a, b, c = lam - mu - nu, lam - mu + nu, 1 - 2 * mu
             s1 = hyp2f1_series_reference(a, b, c, 0.9, 1e-15, 20000)
-            s2 = _hyp2f1_series(a, b, c, 0.9, 1e-15, 20000)
+            (s2,) = _hyp2f1_series([(a, b, c)], 0.9, 1e-15, 20000)
             assert s1[1] == s2[1]  # same number of terms
             assert abs(s1[0] - s2[0]) <= 1e-12 * max(1.0, abs(s1[0]))
 
     def test_termination_counts_match_on_short_series(self):
         s1 = hyp2f1_series_reference(1 + 0j, 1 + 0j, 2 + 0j, 0.5, 1e-15, 20000)
-        s2 = _hyp2f1_series(1 + 0j, 1 + 0j, 2 + 0j, 0.5, 1e-15, 20000)
+        (s2,) = _hyp2f1_series([(1 + 0j, 1 + 0j, 2 + 0j)], 0.5, 1e-15, 20000)
         assert s1[1] == s2[1]
         assert s1[2] and s2[2]
+
+    def test_stacked_rows_equal_their_one_row_calls(self, rng):
+        # 120 rows cross the lockstep row cap; at 300 terms the longer q = 0.9
+        # series fail while the shorter ones converge, so rows leave the
+        # active set at different blocks, and some never do
+        rows = []
+        for _ in range(20):
+            mu, nu, lam = _scattering_parameters(rng)
+            rows += [
+                (1 + lam - mu - nu, 1 + lam - mu + nu, 2 - 2 * mu),
+                (lam + mu - nu, lam + mu + nu, 1 + 2 * mu),
+                (1 + lam + mu - nu, 1 + lam + mu + nu, 2 + 2 * mu),
+                (lam - mu - nu, lam - mu + nu, 1 - 2 * mu),
+                (1 - lam - mu - nu, 1 - lam - mu + nu, 2 - 2 * mu),
+                (-lam - mu - nu, -lam - mu + nu, 1 - 2 * mu),
+            ]
+        stacked = _hyp2f1_series(rows, 0.9, 1e-15, 300)
+        converged = [s[2] for s in stacked]
+        assert 0 < sum(converged) < len(rows)
+        for row, s in zip(rows, stacked):
+            assert _hyp2f1_series([row], 0.9, 1e-15, 300) == [s]  # value, terms, flag, last

@@ -6,6 +6,7 @@ from qscat import (
     Eckart,
     Hulthen,
     Rectangular,
+    SeriesControl,
     SweepSpec,
     run_sweep,
 )
@@ -71,6 +72,27 @@ class TestPurityAndDeterminism:
         rows = run_sweep(spec)
         reversed_rows = [sweep_point(spec, float(x)) for x in spec.grid()[::-1]][::-1]
         assert rows == reversed_rows
+
+    def test_hulthen_batch_equals_single_points(self):
+        # run_sweep sums the 2F1 series of all 100 points in lockstep; each row
+        # must still be exactly what the point gives on its own
+        spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=10.0, points=100)
+        rows = run_sweep(spec)
+        assert rows == [sweep_point(spec, float(x)) for x in spec.grid()[::-1]][::-1]
+        assert all(r.results["exact"].error is None for r in rows)
+
+    def test_hulthen_noconv_points_independent_of_batch(self):
+        # 340 terms are too few for the longest series of some points: those
+        # points, and only those, give noconv whether batched or alone
+        spec = SweepSpec(
+            Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=10.0, points=100,
+            series=SeriesControl(max_terms=340),
+        )
+        rows = run_sweep(spec)
+        assert rows == [sweep_point(spec, float(x)) for x in spec.grid()[::-1]][::-1]
+        errors = [r.results["exact"].error for r in rows]
+        assert errors.count("noconv") == 6
+        assert errors.count(None) == 94
 
 
 class TestCaseBoundary:
