@@ -19,18 +19,15 @@ from .potentials import (
     Hulthen,
     PotentialSpec,
     Rectangular,
-    Wavenumbers,
     asymptotic_values,
-    asymptotic_wavenumbers,
     evaluate,
-    wavenumbers,
 )
 from .exact import (
     HulthenParams,
+    asymptotic_wavenumbers,
     delta_amplitudes,
     eckart_reflection_paper,
     eckart_transmission,
-    eckart_transmission_amplitude,
     hulthen_amplitudes,
     hulthen_amplitudes_grid,
     hulthen_params,
@@ -47,12 +44,7 @@ from .wkb import (
     wkb_for_potential,
     wkb_transmission,
 )
-from .bound import (
-    BoundResult,
-    bound_for_potential,
-    rectangular_bound_closed_form,
-    transmission_bound,
-)
+from .bound import BoundResult, bound_for_potential, transmission_bound
 from .resonance import (
     Kind,
     ResonanceListing,

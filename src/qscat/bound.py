@@ -4,7 +4,7 @@ T >= sech^2( (1/2) * integral |k0 - k^2(x)/k0| dx ) over the whole line; k0
 is the asymptotic wavenumber.  Since k0^2 - k^2(x) = 2m (V(x) - V_inf)/hbar^2,
 the exponent is (m/(hbar^2 k0)) times the area A = integral |V(x) - V_inf| dx,
 which does not depend on the energy.  ``bound_for_potential`` uses the exact
-area of each family; ``transmission_bound`` integrates |V - V_inf| of an
+area of each family (``p.bound_area()``); ``transmission_bound`` integrates |V - V_inf| of an
 arbitrary potential callable over a given window.
 """
 
@@ -17,15 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import PhysicsContext
-from .errors import InvalidInputError, UnsupportedOperationError
-from .potentials import (
-    Delta,
-    Eckart,
-    Hulthen,
-    PotentialSpec,
-    Rectangular,
-    asymptotic_values,
-)
+from .errors import InvalidInputError
 from .wkb import DEFAULT_QUADRATURE, QuadratureControl, _integrate_gauss_legendre, _on_array
 
 
@@ -81,56 +73,19 @@ def transmission_bound(
     return BoundResult(lower_bound=_sech_sq(integral), integral_value=integral)
 
 
-def rectangular_bound_closed_form(
-    v0: float, a: float, energy: float, ctx: PhysicsContext
-) -> BoundResult:
-    """Closed form sech^2(k0^2 a / sqrt(k0^2 + q^2)) for the rectangular barrier, E > v0."""
-    if not (v0 > 0 and a > 0):
-        raise InvalidInputError(f"need v0 > 0 and a > 0, got v0={v0!r}, a={a!r}")
-    if not energy > v0:
-        raise InvalidInputError(
-            f"closed-form bound applies above the barrier, got E={energy!r} <= v0={v0!r}"
-        )
-    two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
-    k0_sq = two_m_over_h2 * v0
-    q_sq = two_m_over_h2 * (energy - v0)
-    arg = k0_sq * a / math.sqrt(k0_sq + q_sq)
-    return BoundResult(lower_bound=_sech_sq(arg), integral_value=arg)
-
-
-def _area(p: PotentialSpec) -> float:
-    """Exact integral of |V(x) - V_inf| over the whole line."""
-    if isinstance(p, Rectangular):
-        return 2.0 * p.a * p.v0
-    if isinstance(p, Eckart):
-        # equal asymptotes leave v0 sech^2(x/a), whose integral is 2 a v0
-        return 2.0 * p.a * abs(p.v0)
-    if isinstance(p, Hulthen):
-        # 2 v0 integral_0^inf dx / (e^{ax} - q) = -2 v0 log(1 - q) / (a q)
-        return -2.0 * p.v0 * math.log1p(-p.q) / (p.a * p.q)
-    raise UnsupportedOperationError(f"no area rule for {type(p).__name__}")
-
-
-def bound_for_potential(p: PotentialSpec, energy: float, ctx: PhysicsContext) -> BoundResult:
-    """sech^2 bound from the exact area of |V - V_inf| of each family.
+def bound_for_potential(p, energy: float, ctx: PhysicsContext) -> BoundResult:
+    """sech^2 bound from the exact area of |V - V_inf| of the potential family ``p``.
 
     The delta potential is excluded (no quadrature over a distribution), and
     so is the Eckart profile with unequal asymptotes: the bound as stated
     assumes one asymptotic k0 on both sides.
     """
-    if isinstance(p, Delta):
-        raise UnsupportedOperationError(
-            "the sech^2 bound is a quadrature statement; not applicable to the delta potential"
-        )
-    v_minus, v_plus = asymptotic_values(p)
-    if v_minus != v_plus:
-        raise UnsupportedOperationError(
-            f"the bound assumes equal asymptotes; got V-inf={v_minus!r}, V+inf={v_plus!r}"
-        )
-    if not energy > v_plus:
+    area = p.bound_area()
+    v_inf = p.asymptotes()[1]
+    if not energy > v_inf:
         raise InvalidInputError(
-            f"asymptotic channel is evanescent: energy {energy!r} <= V_inf {v_plus!r}"
+            f"asymptotic channel is evanescent: energy {energy!r} <= V_inf {v_inf!r}"
         )
-    k0 = math.sqrt(2.0 * ctx.mass / ctx.hbar**2 * (energy - v_plus))
-    integral = ctx.mass / ctx.hbar**2 * _area(p) / k0
+    k0 = math.sqrt(2.0 * ctx.mass / ctx.hbar**2 * (energy - v_inf))
+    integral = ctx.mass / ctx.hbar**2 * area / k0
     return BoundResult(lower_bound=_sech_sq(integral), integral_value=integral)

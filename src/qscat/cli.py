@@ -19,14 +19,7 @@ from .errors import QscatError, UnsupportedOperationError
 from .potentials import Delta, Eckart, Hulthen, PotentialSpec, Rectangular
 from .exact import eckart_reflection_paper
 from .resonance import Kind, ResonanceListing, analytic_resonances, numeric_resonances
-from .sweep import (
-    METHOD_ORDER,
-    SweepRow,
-    SweepSpec,
-    evaluate_methods,
-    map_sweep_variable,
-    run_sweep,
-)
+from .sweep import METHOD_ORDER, SweepRow, SweepSpec, evaluate_methods, run_sweep
 
 _USAGE_EXIT = 2
 _IO_EXIT = 3
@@ -319,11 +312,14 @@ def _cmd_resonances(args) -> int:
 
 def _probability_curve(potential, var, kind: Kind, ctx, fixed):
     """Exact T or R as a function of one sweep variable."""
+    to_point = potential.sweep_map(var, ctx, fixed)
 
     def curve(x: float) -> float:
-        p, energy = map_sweep_variable(potential, var, x, ctx, fixed)
-        results, _ = evaluate_methods(p, energy, frozenset({"exact"}), ctx)
-        res = results["exact"]
+        try:
+            p, energy = to_point(x)
+        except (QscatError, ArithmeticError) as exc:  # an overflow, or rectangular E = v0
+            raise QscatError(f"{var}={x!r} gives no point to evaluate: {exc}") from None
+        res = evaluate_methods(p, energy, frozenset({"exact"}), ctx)[0]["exact"]
         if res.error is not None:
             raise QscatError(f"exact evaluation failed at {var}={x!r}: {res.error}")
         return res.transmission if kind is Kind.TRANSMISSION else res.reflection
@@ -334,91 +330,32 @@ def _probability_curve(potential, var, kind: Kind, ctx, fixed):
 # ---------------------------------------------------------------------------
 # figure presets
 
-_NATURAL = PhysicsContext()
+_K0_LADDER = (1.0, 2.0, 10.0, 100.0, 1000.0)
+
+# preset -> (panel letters, one parameter value per panel, the panel's SweepSpec)
+_PRESETS = {
+    "fig1": ("abcde", _K0_LADDER, lambda k0: SweepSpec(Delta(k0), "k", 0.02 * k0, 10.0 * k0, 500)),
+    "fig3": ("abcde", _K0_LADDER,
+             lambda k0: SweepSpec(Rectangular(0.5 * k0**2, 1.0), "q", 0.0025, 10.0, 4000)),
+    "fig3a": ("abcd", (1.0, 2.0, 10.0, 100.0),
+              lambda a: SweepSpec(Rectangular(0.5, a), "q", 10.0 / a / 4000.0, 10.0 / a, 4000)),
+    "fig4": (("",), (1.0,), lambda v0: SweepSpec(
+        Rectangular(v0, 1.0), "E", 1.02, 20.0, 500, methods=frozenset({"exact", "bound"}))),
+    "fig5": ("abcd", (1.0, 10.0, 50.0, 100.0), lambda v0: SweepSpec(
+        Rectangular(v0, 1.0), "E", 0.005 * v0, 0.995 * v0, 200, methods=frozenset({"exact", "wkb"}))),
+    # k-inf = 1, k+inf = 2 at E = 2 with V-inf = 1.5, V+inf = 0 (m = hbar = 1)
+    "fig7": ("ab", (1.0, 2.0), lambda a: SweepSpec(
+        Eckart(1.5, 0.0, 0.0, a), "V0", -10.5, 2.0, 501, fixed={"energy": 2.0})),
+    "fig10": ("ab", (0.5, 1.0), lambda a: SweepSpec(Hulthen(1.0, a, 0.9), "E", 1.09, 10.0, 100)),
+    "fig11": ("abcd", (1.0, 2.0, 10.0, 50.0), lambda v0: SweepSpec(
+        Hulthen(v0, 0.5, 0.9), "E", 0.02, 1.0, 200, methods=frozenset({"wkb"}))),
+}
+FIGURE_PRESETS = tuple(_PRESETS)
 
 
 def _figure_panels(name: str) -> list[tuple[str, SweepSpec]]:
-    exact = frozenset({"exact"})
-    panels: list[tuple[str, SweepSpec]] = []
-    if name == "fig1":
-        for letter, k0 in zip("abcde", (1.0, 2.0, 10.0, 100.0, 1000.0)):
-            spec = SweepSpec(
-                Delta(alpha=k0), "k", lo=0.02 * k0, hi=10.0 * k0, points=500, methods=exact
-            )
-            panels.append((f"fig1{letter}", spec))
-    elif name == "fig3":
-        for letter, k0 in zip("abcde", (1.0, 2.0, 10.0, 100.0, 1000.0)):
-            spec = SweepSpec(
-                Rectangular(v0=0.5 * k0**2, a=1.0),
-                "q",
-                lo=0.0025,
-                hi=10.0,
-                points=4000,
-                methods=exact,
-            )
-            panels.append((f"fig3{letter}", spec))
-    elif name == "fig3a":
-        for letter, a in zip("abcd", (1.0, 2.0, 10.0, 100.0)):
-            hi = 10.0 / a
-            spec = SweepSpec(
-                Rectangular(v0=0.5, a=a), "q", lo=hi / 4000.0, hi=hi, points=4000, methods=exact
-            )
-            panels.append((f"fig3a{letter}", spec))
-    elif name == "fig4":
-        spec = SweepSpec(
-            Rectangular(v0=1.0, a=1.0),
-            "E",
-            lo=1.02,
-            hi=20.0,
-            points=500,
-            methods=frozenset({"exact", "bound"}),
-        )
-        panels.append(("fig4", spec))
-    elif name == "fig5":
-        for letter, v0 in zip("abcd", (1.0, 10.0, 50.0, 100.0)):
-            spec = SweepSpec(
-                Rectangular(v0=v0, a=1.0),
-                "E",
-                lo=0.005 * v0,
-                hi=0.995 * v0,
-                points=200,
-                methods=frozenset({"exact", "wkb"}),
-            )
-            panels.append((f"fig5{letter}", spec))
-    elif name == "fig7":
-        # k-inf = 1, k+inf = 2 at E = 2 with V-inf = 1.5, V+inf = 0 (m = hbar = 1)
-        for letter, a in zip("ab", (1.0, 2.0)):
-            spec = SweepSpec(
-                Eckart(v_minus_inf=1.5, v_plus_inf=0.0, v0=0.0, a=a),
-                "V0",
-                lo=-10.5,
-                hi=2.0,
-                points=501,
-                methods=exact,
-                fixed={"energy": 2.0},
-            )
-            panels.append((f"fig7{letter}", spec))
-    elif name == "fig10":
-        for letter, a in zip("ab", (0.5, 1.0)):
-            spec = SweepSpec(
-                Hulthen(v0=1.0, a=a, q=0.9), "E", lo=1.09, hi=10.0, points=100, methods=exact
-            )
-            panels.append((f"fig10{letter}", spec))
-    elif name == "fig11":
-        for letter, v0 in zip("abcd", (1.0, 2.0, 10.0, 50.0)):
-            spec = SweepSpec(
-                Hulthen(v0=v0, a=0.5, q=0.9),
-                "E",
-                lo=0.02,
-                hi=1.0,
-                points=200,
-                methods=frozenset({"wkb"}),
-            )
-            panels.append((f"fig11{letter}", spec))
-    return panels
-
-
-FIGURE_PRESETS = ("fig1", "fig3", "fig3a", "fig4", "fig5", "fig7", "fig10", "fig11")
+    letters, values, spec = _PRESETS[name]
+    return [(f"{name}{letter}", spec(value)) for letter, value in zip(letters, values)]
 
 
 def _spec_manifest(spec: SweepSpec) -> dict:

@@ -46,6 +46,17 @@ class ScatteringAmplitudes:
 
 
 @dataclass(frozen=True)
+class MethodResult:
+    """One method's labeled output at a single grid point."""
+
+    method: str
+    transmission: float | None = None
+    reflection: float | None = None
+    defect: float | None = None
+    error: str | None = None
+
+
+@dataclass(frozen=True)
 class Probabilities:
     transmission: float
     reflection: float

@@ -3,6 +3,8 @@
 Each case maps to one function: delta, rectangular above/below the barrier,
 Eckart transmission (plus its literature reflection formula), and the Hulthen
 hypergeometric amplitudes, whose 2F1 series for an energy grid run in lockstep.
+The family classes in ``potentials`` call these; an Eckart or Hulthen argument
+``p`` is read through its fields and ``p.asymptotes()`` only.
 """
 
 from __future__ import annotations
@@ -14,10 +16,34 @@ from dataclasses import dataclass
 
 from .core import PhysicsContext, ScatteringAmplitudes
 from .errors import InvalidInputError, QscatError, WrongCaseError
-from .potentials import Eckart, Hulthen, asymptotic_wavenumbers
-from .specfun import DEFAULT_SERIES, SeriesControl, _convergence_error, _hyp2f1_series, log_gamma
+from .specfun import DEFAULT_SERIES, SeriesControl, _convergence_error, _hyp2f1_series
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def asymptotic_wavenumbers(p, energy: float, ctx: PhysicsContext) -> tuple[float, float]:
+    """Propagating wavenumbers (k_minus, k_plus) of the two asymptotic channels.
+
+    k_{+-inf}^2 = 2 m (E - V_{+-inf}) / hbar^2; raises WrongCaseError if either
+    channel is evanescent (E at or below an asymptotic potential value).
+    """
+    v_minus, v_plus = p.asymptotes()
+    if energy <= max(v_minus, v_plus):
+        raise WrongCaseError(
+            f"energy {energy!r} does not propagate in both asymptotic channels "
+            f"(V-inf = {v_minus!r}, V+inf = {v_plus!r})"
+        )
+    two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
+    return (
+        math.sqrt(two_m_over_h2 * (energy - v_minus)),
+        math.sqrt(two_m_over_h2 * (energy - v_plus)),
+    )
+
+
+def _require_finite_phase(k: float, a: float) -> None:
+    # e^{2ika} of an infinite argument has no value (cmath raises a domain error)
+    if not math.isfinite(2.0 * k * a):
+        raise InvalidInputError(f"phase 2 k a = 2 * {k!r} * {a!r} overflows double range")
 
 
 def delta_amplitudes(alpha: float, energy: float, ctx: PhysicsContext) -> ScatteringAmplitudes:
@@ -49,6 +75,7 @@ def rectangular_above(
     two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
     k = math.sqrt(two_m_over_h2 * energy)
     q = math.sqrt(two_m_over_h2 * (energy - v0))
+    _require_finite_phase(k, a)  # q < k, so 2qa is finite too
     denom = (k + q) ** 2 * cmath.exp(2j * q * a) - (k - q) ** 2 * cmath.exp(-2j * q * a)
     phase = cmath.exp(2j * k * a)
     t = 4.0 * k * q * phase / denom
@@ -77,6 +104,7 @@ def rectangular_below(
     two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
     k = math.sqrt(two_m_over_h2 * energy)
     big_q = math.sqrt(two_m_over_h2 * (v0 - energy))
+    _require_finite_phase(k, a)
     decay = math.exp(-4.0 * big_q * a)
     sh = -0.5 * math.expm1(-4.0 * big_q * a)  # e^{-2Qa} sinh(2Qa)
     ch = 0.5 * (1.0 + decay)  # e^{-2Qa} cosh(2Qa)
@@ -92,22 +120,26 @@ def _scaled_cosh(y: float, scale: float) -> float:
     return 0.5 * (math.exp(abs(y) - scale) + math.exp(-abs(y) - scale))
 
 
-def eckart_transmission(p: Eckart, energy: float, ctx: PhysicsContext) -> float:
-    """Transmission probability for the Eckart profile.
+def eckart_transmission(p, energy: float, ctx: PhysicsContext) -> float:
+    """Transmission probability for the Eckart profile ``p``.
 
     T = sinh(A) sinh(B) / [sinh^2(C) + cos^2(pi s)],  A = pi k- a, B = pi k+ a,
-    C = pi kbar a, s = sqrt(1/4 - 2 m v0 a^2 / hbar^2); cos(i x) is cosh(x).
+    C = pi kbar a, s = sqrt(d), d = 1/4 - g, g = 2 m v0 a^2 / hbar^2; cos(i x) is
+    cosh(x).
 
     Since A + B = 2C, multiplying through by 4 e^{-2C} gives the form that
     cannot overflow: T = expm1(-2A) expm1(-2B) / [expm1(-2C)^2 + 4 c^2 e^{-2C}],
-    c = cos(pi s), with c^2 e^{-2C} taken in log space in the cosh branch.
+    c = cos(pi s), with c^2 e^{-2C} taken in log space in the cosh branch.  For
+    d >= 0, c = sin(pi (1/2 - s)) = sin(pi g / (1/2 + s)), which does not cancel
+    to rounding noise as g goes to 0.
     """
     k_minus, k_plus = asymptotic_wavenumbers(p, energy, ctx)
     big_a, big_b = math.pi * k_minus * p.a, math.pi * k_plus * p.a
     big_c = 0.5 * (big_a + big_b)
-    d = 0.25 - 2.0 * ctx.mass * p.v0 * p.a**2 / ctx.hbar**2
+    g = 2.0 * ctx.mass * p.v0 * p.a**2 / ctx.hbar**2
+    d = 0.25 - g
     if d >= 0.0:
-        shape = 4.0 * math.cos(math.pi * math.sqrt(d)) ** 2 * math.exp(-2.0 * big_c)
+        shape = 4.0 * math.sin(math.pi * g / (0.5 + math.sqrt(d))) ** 2 * math.exp(-2.0 * big_c)
     else:
         # 4 cosh^2(y) e^{-2C} = exp(2 (y - C + log1p(e^{-2y})))
         y = math.pi * math.sqrt(-d)
@@ -119,26 +151,8 @@ def eckart_transmission(p: Eckart, energy: float, ctx: PhysicsContext) -> float:
     return num / (math.expm1(-2.0 * big_c) ** 2 + shape)
 
 
-def eckart_transmission_amplitude(p: Eckart, energy: float, ctx: PhysicsContext) -> complex:
-    """Gamma-function form of the Eckart transmission amplitude.
-
-    t = -i/(sqrt(k+ k-) a) * G(i kbar a + 1/2 + s) G(i kbar a + 1/2 - s)
-        / (G(i k+ a) G(i k- a))
-
-    |t|^2 reproduces eckart_transmission; kept as an independent route that
-    exercises log_gamma in situ.
-    """
-    k_minus, k_plus = asymptotic_wavenumbers(p, energy, ctx)
-    k_bar = 0.5 * (k_plus + k_minus)
-    s = cmath.sqrt(complex(0.25 - 2.0 * ctx.mass * p.v0 * p.a**2 / ctx.hbar**2))
-    log_num = log_gamma(1j * k_bar * p.a + 0.5 + s) + log_gamma(1j * k_bar * p.a + 0.5 - s)
-    log_den = log_gamma(1j * k_plus * p.a) + log_gamma(1j * k_minus * p.a)
-    prefactor = -1j / (math.sqrt(k_plus * k_minus) * p.a)
-    return prefactor * cmath.exp(log_num - log_den)
-
-
 def eckart_reflection_paper(
-    p: Eckart, energy: float, ctx: PhysicsContext, convention: str = "paper"
+    p, energy: float, ctx: PhysicsContext, convention: str = "paper"
 ) -> float:
     """Literature reflection formula for the Eckart profile (diagnostic).
 
@@ -207,7 +221,7 @@ class HulthenParams:
     a: float
 
 
-def hulthen_params(p: Hulthen, energy: float, mass: float) -> HulthenParams:
+def hulthen_params(p, energy: float, mass: float) -> HulthenParams:
     """Build mu = ik/a, nu = ip/a, lam = i v0/(a q) for a propagating channel."""
     if not (math.isfinite(mass) and mass > 0):
         raise InvalidInputError(f"mass must be positive, got {mass!r}")
@@ -262,7 +276,7 @@ def _hulthen_assemble(par: HulthenParams, f1, f2, f3, f4, f5, f6) -> ScatteringA
 
 
 def hulthen_amplitudes_grid(
-    p: Hulthen, energies, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES
+    p, energies, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES
 ) -> list[ScatteringAmplitudes | QscatError]:
     """Hulthen amplitudes at each energy, or the error that energy raises.
 
@@ -304,7 +318,7 @@ def hulthen_amplitudes_grid(
 
 
 def hulthen_amplitudes(
-    p: Hulthen, energy: float, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES
+    p, energy: float, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES
 ) -> ScatteringAmplitudes:
     """Hypergeometric transmission/reflection amplitudes for the Hulthen barrier.
 

@@ -1,44 +1,157 @@
-"""The four canonical potentials: parameters, pointwise values, wavenumbers.
+"""The four potential families; each class is the one place that knows its own.
 
-``evaluate`` accepts scalars or numpy arrays for the three finite potentials;
-the delta potential is a distribution and only exists through its closed-form
-scattering results.
+Every family answers the same questions: V(x) on scalars or numpy arrays
+(``values``), the asymptotes, the swept variables and how a value of one maps
+to a (potential, energy) point (``sweep_map``), the exact result at a list of
+energies, the WKB action and its region, the area behind the sech^2 bound, and
+the analytic resonances.  ``_Family`` answers each with an
+UnsupportedOperationError (asymptotes 0, E the only swept variable), so a
+family states only what it has: the delta potential is a distribution and
+exists only through its closed-form scattering results.  ``evaluate``,
+``asymptotic_values`` and the front ends of ``sweep``, ``wkb``, ``bound`` and
+``resonance`` call these methods.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, replace
+from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import PhysicsContext
+from .core import MethodResult, probabilities_from_amplitudes, unitarity_defect
 from .errors import (
     DegenerateEnergyError,
     InvalidInputError,
+    QscatError,
     UnsupportedOperationError,
     WrongCaseError,
 )
+from .exact import (
+    delta_amplitudes,
+    eckart_transmission,
+    hulthen_amplitudes_grid,
+    rectangular_above,
+    rectangular_below,
+)
+from .resonance import Kind, ResonanceListing, ResonanceReport, Source, _label_for
+from .specfun import DEFAULT_SERIES
+from .wkb import (
+    BarrierRegion,
+    RegionSource,
+    _action,
+    eckart_turning_points,
+    fixed_limits,
+    hulthen_turning_point,
+)
+
+# the reflection resonance at the k = 0 boundary, where T vanishes
+_REFLECTION_AT_K0 = ResonanceListing(
+    (ResonanceReport(Kind.REFLECTION, 0.0, 1.0, Source.ANALYTIC, at_boundary=True),)
+)
+
+
+def _each(energies, formula) -> list:
+    """formula(energy) at each energy, or the QscatError it raises there; an
+    overflow of double range becomes an InvalidInputError."""
+    out = []
+    for energy in energies:
+        try:
+            out.append(formula(energy))
+        except QscatError as exc:
+            out.append(exc)
+        except ArithmeticError as exc:
+            out.append(InvalidInputError(f"energy {energy!r} overflows double range: {exc}"))
+    return out
+
+
+def _from_amplitudes(amps) -> MethodResult:
+    prob = probabilities_from_amplitudes(amps)
+    return MethodResult("exact", prob.transmission, prob.reflection, unitarity_defect(prob))
+
+
+class _Family:
+    """What a family lacks.  Each family also defines ``exact(energies, ctx,
+    series)``: one MethodResult or QscatError per energy."""
+
+    variables: ClassVar[tuple[str, ...]] = ("E",)
+
+    def values(self, x):
+        """V(x); x may be a scalar or a numpy array."""
+        raise UnsupportedOperationError(f"{type(self).__name__} has no pointwise values")
+
+    def asymptotes(self) -> tuple[float, float]:
+        """(V at x -> -inf, V at x -> +inf)."""
+        return (0.0, 0.0)
+
+    def sweep_map(self, variable, ctx, fixed):
+        """Function from one value of ``variable`` to a (potential, energy) pair;
+        a variable this family cannot sweep raises InvalidInputError here."""
+        if variable not in self.variables:
+            raise InvalidInputError(
+                f"cannot sweep {variable!r} for {type(self).__name__}; "
+                f"valid variables: {self.variables}"
+            )
+        return lambda x: self._point(variable, x, ctx, fixed)
+
+    def _point(self, variable, x, ctx, fixed):
+        return self, x
+
+    def wkb_action(self, energy, ctrl, solve_turning_points=False) -> float:
+        """Integral of sqrt(V - E) over the family's barrier region."""
+        raise UnsupportedOperationError(f"WKB quadrature is undefined for {type(self).__name__}")
+
+    def bound_area(self) -> float:
+        """Exact integral of |V(x) - V_inf| over the whole line."""
+        raise UnsupportedOperationError(
+            f"the sech^2 bound is a quadrature statement; not applicable to {type(self).__name__}"
+        )
+
+    def resonances(self, var, n_max, ctx, kind, energy=None) -> ResonanceListing:
+        """Analytic resonances over the lower-case sweep variable ``var``."""
+        raise UnsupportedOperationError(
+            f"no analytic resonance formula for {type(self).__name__} over {var!r} "
+            f"({kind.value}); use numeric_resonances"
+        )
 
 
 @dataclass(frozen=True)
-class Delta:
+class Delta(_Family):
     """V(x) = alpha * delta(x) with alpha > 0 (units of energy * length)."""
 
     alpha: float
+    variables = ("k", "E")
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise InvalidInputError(f"delta strength alpha must be positive, got {self.alpha!r}")
 
+    def _point(self, variable, x, ctx, fixed):
+        return self, (ctx.hbar * x) ** 2 / (2.0 * ctx.mass) if variable == "k" else x
+
+    def exact(self, energies, ctx, series=DEFAULT_SERIES) -> list:
+        return _each(energies, lambda e: _from_amplitudes(delta_amplitudes(self.alpha, e, ctx)))
+
+    def resonances(self, var, n_max, ctx, kind, energy=None) -> ResonanceListing:
+        if var != "k":
+            return super().resonances(var, n_max, ctx, kind, energy)
+        if kind is Kind.REFLECTION:
+            return _REFLECTION_AT_K0
+        return ResonanceListing(
+            (),
+            reason="the delta potential has no transmission resonances "
+            "(T only tends to unity as k goes to infinity)",
+        )
+
 
 @dataclass(frozen=True)
-class Rectangular:
+class Rectangular(_Family):
     """V(x) = v0 for |x| <= a, else 0.  ``a`` is the half-width."""
 
     v0: float
     a: float
+    variables = ("q", "E")
 
     def __post_init__(self):
         if not (math.isfinite(self.v0) and self.v0 > 0):
@@ -46,9 +159,49 @@ class Rectangular:
         if not (math.isfinite(self.a) and self.a > 0):
             raise InvalidInputError(f"half-width a must be positive, got {self.a!r}")
 
+    def values(self, x):
+        return np.where(np.abs(x) <= self.a, self.v0, 0.0) if np.ndim(x) else (
+            self.v0 if abs(x) <= self.a else 0.0
+        )
+
+    def _point(self, variable, x, ctx, fixed):
+        # q is the interior wavenumber above the barrier; E = v0, where both exact
+        # formulas are singular, is a point of no method
+        energy = self.v0 + (ctx.hbar * x) ** 2 / (2.0 * ctx.mass) if variable == "q" else x
+        if energy == self.v0:
+            raise DegenerateEnergyError("both exact formulas are singular at E = v0")
+        return self, energy
+
+    def exact(self, energies, ctx, series=DEFAULT_SERIES) -> list:
+        def at(energy):
+            formula = rectangular_above if energy > self.v0 else rectangular_below
+            return _from_amplitudes(formula(self.v0, self.a, energy, ctx))
+
+        return _each(energies, at)
+
+    def wkb_action(self, energy, ctrl, solve_turning_points=False) -> float:
+        if not 0 < energy < self.v0:
+            raise WrongCaseError(
+                f"WKB tunneling needs 0 < E < v0, got E={energy!r}, v0={self.v0!r}"
+            )
+        return 2.0 * self.a * math.sqrt(self.v0 - energy)
+
+    def bound_area(self) -> float:
+        return 2.0 * self.a * self.v0
+
+    def resonances(self, var, n_max, ctx, kind, energy=None) -> ResonanceListing:
+        if var == "q" and kind is Kind.TRANSMISSION:
+            return ResonanceListing(tuple(
+                ResonanceReport(Kind.TRANSMISSION, n * math.pi / (2.0 * self.a), 1.0, Source.ANALYTIC)
+                for n in range(1, n_max + 1)
+            ))
+        if var == "k" and kind is Kind.REFLECTION:
+            return _REFLECTION_AT_K0
+        return super().resonances(var, n_max, ctx, kind, energy)
+
 
 @dataclass(frozen=True)
-class Eckart:
+class Eckart(_Family):
     """Smooth step-plus-bump profile built from tanh and sech^2 terms.
 
     V(x) = (v+ + v-)/2 + (v+ - v-)/2 tanh(x/a) + v0 / cosh^2(x/a)
@@ -61,6 +214,7 @@ class Eckart:
     v_plus_inf: float
     v0: float
     a: float
+    variables = ("V0", "E")
 
     def __post_init__(self):
         for name in ("v_minus_inf", "v_plus_inf", "v0"):
@@ -69,9 +223,71 @@ class Eckart:
         if not (math.isfinite(self.a) and self.a > 0):
             raise InvalidInputError(f"length scale a must be positive, got {self.a!r}")
 
+    def values(self, x):
+        xa = np.asarray(x, dtype=float) / self.a if np.ndim(x) else x / self.a
+        mean = 0.5 * (self.v_plus_inf + self.v_minus_inf)
+        step = 0.5 * (self.v_plus_inf - self.v_minus_inf)
+        return mean + step * np.tanh(xa) + self.v0 / np.cosh(xa) ** 2
+
+    def asymptotes(self) -> tuple[float, float]:
+        return (self.v_minus_inf, self.v_plus_inf)
+
+    def sweep_map(self, variable, ctx, fixed):
+        if variable == "V0" and "energy" not in fixed:
+            raise InvalidInputError("sweeping V0 requires fixed={'energy': ...}")
+        return super().sweep_map(variable, ctx, fixed)
+
+    def _point(self, variable, x, ctx, fixed):
+        return (replace(self, v0=x), fixed["energy"]) if variable == "V0" else (self, x)
+
+    def exact(self, energies, ctx, series=DEFAULT_SERIES) -> list:
+        def at(energy):
+            t = eckart_transmission(self, energy, ctx)
+            # unitarity is mandatory for the elastic channel: report (T, 1 - T)
+            return MethodResult("exact", transmission=t, reflection=1.0 - t, defect=0.0)
+
+        return _each(energies, at)
+
+    def wkb_action(self, energy, ctrl, solve_turning_points=False) -> float:
+        # always between the closed-form turning points: no conventional fixed window
+        return _action(self.values, energy, eckart_turning_points(self, energy), ctrl)
+
+    def bound_area(self) -> float:
+        # the bound assumes one asymptotic k0 on both sides; equal asymptotes leave
+        # v0 sech^2(x/a), whose integral is 2 a v0
+        if self.v_minus_inf != self.v_plus_inf:
+            raise UnsupportedOperationError(
+                f"the bound assumes equal asymptotes; got V-inf={self.v_minus_inf!r}, "
+                f"V+inf={self.v_plus_inf!r}"
+            )
+        return 2.0 * self.a * abs(self.v0)
+
+    def resonances(self, var, n_max, ctx, kind, energy=None) -> ResonanceListing:
+        if var != "v0":
+            return super().resonances(var, n_max, ctx, kind, energy)
+        if kind is Kind.REFLECTION:
+            return ResonanceListing((), reason="the Eckart potential has no reflection resonances")
+        symmetric = self.v_minus_inf == self.v_plus_inf
+        reports = []
+        for n in range(1, n_max + 1):
+            loc = -(ctx.hbar**2 / (2.0 * ctx.mass * self.a**2)) * n * (n + 1)
+            if symmetric:
+                # cos^2 term vanishes and sinh factors coincide: T = 1 at any energy
+                value = 1.0
+            else:
+                if energy is None:
+                    raise InvalidInputError(
+                        "asymmetric Eckart resonance values depend on the energy; pass energy="
+                    )
+                value = eckart_transmission(replace(self, v0=loc), energy, ctx)
+            reports.append(
+                ResonanceReport(Kind.TRANSMISSION, loc, value, Source.ANALYTIC, _label_for(value))
+            )
+        return ResonanceListing(tuple(reports))
+
 
 @dataclass(frozen=True)
-class Hulthen:
+class Hulthen(_Family):
     """Exponentially screened barrier with screening parameter q in (0, 1).
 
     V(x) = step(-x) * v0/(exp(-a x) - q) + step(x) * v0/(exp(a x) - q)
@@ -91,99 +307,45 @@ class Hulthen:
         if not (math.isfinite(self.q) and 0 < self.q < 1):
             raise InvalidInputError(f"screening q must lie in (0, 1), got {self.q!r}")
 
+    def values(self, x):
+        # the two step-function branches are mirror images, so |x| covers both;
+        # at x = 0 they share the limit v0/(1-q)
+        return self.v0 / (np.exp(self.a * np.abs(x)) - self.q)
+
+    def exact(self, energies, ctx, series=DEFAULT_SERIES) -> list:
+        # one lockstep 2F1 kernel call for all energies; _each takes them in order
+        amplitudes = iter(hulthen_amplitudes_grid(self, energies, ctx.mass, series))
+
+        def at(energy):
+            amps = next(amplitudes)
+            if isinstance(amps, QscatError):
+                raise amps
+            return _from_amplitudes(amps)
+
+        return _each(energies, at)
+
+    def wkb_action(self, energy, ctrl, solve_turning_points=False) -> float:
+        # the fixed (-1, 1) window of the published recipe, split at the cusp of V at
+        # x = 0, or the physical region between the closed-form turning points
+        if solve_turning_points:
+            edge = hulthen_turning_point(self, energy)
+            region = BarrierRegion(-edge, edge, RegionSource.SOLVED_TURNING_POINTS)
+            return _action(self.values, energy, region, ctrl)
+        return _action(self.values, energy, fixed_limits(-1.0, 1.0), ctrl, (0.0,))
+
+    def bound_area(self) -> float:
+        # 2 v0 integral_0^inf dx / (e^{ax} - q) = -2 v0 log(1 - q) / (a q)
+        return -2.0 * self.v0 * math.log1p(-self.q) / (self.a * self.q)
+
 
 PotentialSpec = Union[Delta, Rectangular, Eckart, Hulthen]
 
 
-@dataclass(frozen=True)
-class Wavenumbers:
-    """Derived wavenumbers for the delta and rectangular potentials.
-
-    ``k`` is the propagating wavenumber outside the potential, ``k0`` the
-    strength scale.  Exactly one of ``q_inside`` (above-barrier) and ``big_q``
-    (evanescent decay constant) is set for the rectangular barrier.
-    """
-
-    k: float
-    k0: float
-    q_inside: float | None = None
-    big_q: float | None = None
-
-
 def evaluate(p: PotentialSpec, x):
     """Pointwise potential value V(x); x may be a scalar or numpy array."""
-    if isinstance(p, Delta):
-        raise UnsupportedOperationError(
-            "the delta potential is a distribution and has no pointwise values"
-        )
-    if isinstance(p, Rectangular):
-        return np.where(np.abs(x) <= p.a, p.v0, 0.0) if np.ndim(x) else (
-            p.v0 if abs(x) <= p.a else 0.0
-        )
-    if isinstance(p, Eckart):
-        xa = np.asarray(x, dtype=float) / p.a if np.ndim(x) else x / p.a
-        mean = 0.5 * (p.v_plus_inf + p.v_minus_inf)
-        step = 0.5 * (p.v_plus_inf - p.v_minus_inf)
-        return mean + step * np.tanh(xa) + p.v0 / np.cosh(xa) ** 2
-    if isinstance(p, Hulthen):
-        # the two step-function branches are mirror images, so |x| covers both;
-        # at x = 0 they share the limit v0/(1-q)
-        return p.v0 / (np.exp(p.a * np.abs(x)) - p.q)
-    raise UnsupportedOperationError(f"unknown potential {type(p).__name__}")
+    return p.values(x)
 
 
 def asymptotic_values(p: PotentialSpec) -> tuple[float, float]:
     """(V at x -> -inf, V at x -> +inf)."""
-    if isinstance(p, Eckart):
-        return (p.v_minus_inf, p.v_plus_inf)
-    return (0.0, 0.0)
-
-
-def wavenumbers(p: PotentialSpec, energy: float, ctx: PhysicsContext) -> Wavenumbers:
-    """Wavenumbers k, k0 and the inside channel for delta/rectangular potentials.
-
-    Raises DegenerateEnergyError when the energy sits exactly at the barrier
-    height (both case formulas are singular there; perturb the energy).
-    """
-    two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
-    if isinstance(p, Delta):
-        if energy <= 0:
-            raise InvalidInputError(f"scattering requires energy > 0, got {energy!r}")
-        return Wavenumbers(k=math.sqrt(two_m_over_h2 * energy), k0=ctx.mass * p.alpha / ctx.hbar**2)
-    if isinstance(p, Rectangular):
-        if energy <= 0:
-            raise InvalidInputError(f"scattering requires energy > 0, got {energy!r}")
-        if energy == p.v0:
-            raise DegenerateEnergyError(
-                f"energy equals the barrier height {p.v0!r}; perturb the energy"
-            )
-        k = math.sqrt(two_m_over_h2 * energy)
-        k0 = math.sqrt(two_m_over_h2 * p.v0)
-        if energy > p.v0:
-            return Wavenumbers(k=k, k0=k0, q_inside=math.sqrt(two_m_over_h2 * (energy - p.v0)))
-        return Wavenumbers(k=k, k0=k0, big_q=math.sqrt(two_m_over_h2 * (p.v0 - energy)))
-    raise UnsupportedOperationError(
-        f"wavenumbers(k, q, k0, Q) are defined for delta/rectangular potentials only, "
-        f"not {type(p).__name__}; see asymptotic_wavenumbers"
-    )
-
-
-def asymptotic_wavenumbers(
-    p: PotentialSpec, energy: float, ctx: PhysicsContext
-) -> tuple[float, float]:
-    """Propagating wavenumbers (k_minus, k_plus) of the two asymptotic channels.
-
-    k_{+-inf}^2 = 2 m (E - V_{+-inf}) / hbar^2; raises WrongCaseError if either
-    channel is evanescent (E at or below an asymptotic potential value).
-    """
-    v_minus, v_plus = asymptotic_values(p)
-    if energy <= max(v_minus, v_plus):
-        raise WrongCaseError(
-            f"energy {energy!r} does not propagate in both asymptotic channels "
-            f"(V-inf = {v_minus!r}, V+inf = {v_plus!r})"
-        )
-    two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
-    return (
-        math.sqrt(two_m_over_h2 * (energy - v_minus)),
-        math.sqrt(two_m_over_h2 * (energy - v_plus)),
-    )
+    return p.asymptotes()

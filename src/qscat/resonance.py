@@ -7,14 +7,12 @@ maxima that stay below 1 - 1e-6 are labeled peaks, not resonances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .core import PhysicsContext
-from .errors import InvalidInputError, UnsupportedOperationError
-from .potentials import Delta, Eckart, PotentialSpec, Rectangular
-from .exact import eckart_transmission
+from .errors import InvalidInputError
 
 # fixed by the strict "probability in unity" definition, absorbing float noise
 RESONANCE_THRESHOLD = 1.0 - 1e-6
@@ -56,7 +54,7 @@ def _label_for(value: float) -> str:
 
 
 def analytic_resonances(
-    p: PotentialSpec,
+    p,
     sweep_var: str,
     n_max: int,
     ctx: PhysicsContext,
@@ -64,7 +62,7 @@ def analytic_resonances(
     energy: float | None = None,
 ) -> ResonanceListing:
     """Closed-form resonance locations for the potential/sweep-variable pairs
-    that have them.
+    that have them (``p.resonances``).
 
     Supported: rectangular over q (transmission: q = n pi / 2a) and over k
     (reflection: boundary k = 0); delta over k (no transmission resonances;
@@ -74,71 +72,7 @@ def analytic_resonances(
     """
     if n_max < 1:
         raise InvalidInputError(f"n_max must be >= 1, got {n_max!r}")
-    var = sweep_var.lower()
-
-    if isinstance(p, Delta) and var == "k":
-        if kind is Kind.TRANSMISSION:
-            return ResonanceListing(
-                (),
-                reason="the delta potential has no transmission resonances "
-                "(T only tends to unity as k goes to infinity)",
-            )
-        return ResonanceListing(
-            (
-                ResonanceReport(
-                    Kind.REFLECTION, 0.0, 1.0, Source.ANALYTIC, at_boundary=True
-                ),
-            )
-        )
-
-    if isinstance(p, Rectangular) and var == "q" and kind is Kind.TRANSMISSION:
-        reports = tuple(
-            ResonanceReport(
-                Kind.TRANSMISSION, n * math.pi / (2.0 * p.a), 1.0, Source.ANALYTIC
-            )
-            for n in range(1, n_max + 1)
-        )
-        return ResonanceListing(reports)
-
-    if isinstance(p, Rectangular) and var == "k" and kind is Kind.REFLECTION:
-        return ResonanceListing(
-            (
-                ResonanceReport(
-                    Kind.REFLECTION, 0.0, 1.0, Source.ANALYTIC, at_boundary=True
-                ),
-            )
-        )
-
-    if isinstance(p, Eckart) and var == "v0":
-        if kind is Kind.REFLECTION:
-            return ResonanceListing(
-                (), reason="the Eckart potential has no reflection resonances"
-            )
-        symmetric = p.v_minus_inf == p.v_plus_inf
-        reports = []
-        for n in range(1, n_max + 1):
-            loc = -(ctx.hbar**2 / (2.0 * ctx.mass * p.a**2)) * n * (n + 1)
-            if symmetric:
-                # cos^2 term vanishes and sinh factors coincide: T = 1 at any energy
-                value = 1.0
-            else:
-                if energy is None:
-                    raise InvalidInputError(
-                        "asymmetric Eckart resonance values depend on the energy; "
-                        "pass energy="
-                    )
-                value = eckart_transmission(replace(p, v0=loc), energy, ctx)
-            reports.append(
-                ResonanceReport(
-                    Kind.TRANSMISSION, loc, value, Source.ANALYTIC, _label_for(value)
-                )
-            )
-        return ResonanceListing(tuple(reports))
-
-    raise UnsupportedOperationError(
-        f"no analytic resonance formula for {type(p).__name__} over {sweep_var!r} "
-        f"({kind.value}); use numeric_resonances"
-    )
+    return p.resonances(sweep_var.lower(), n_max, ctx, kind, energy)
 
 
 def golden_section_max(

@@ -1,56 +1,27 @@
 """Grid evaluation engine producing cross-method rows (exact vs WKB vs bound).
 
-Rows are evaluated as one batch (the Hulthen 2F1 series in lockstep), yet each
-row depends only on its own grid value, so identical inputs give identical
-output in any order or batch.  Per-point failures, overflows included, are
-recorded in the row rather than aborting the sweep.
+Rows are evaluated as one batch (one exact call per distinct potential, which
+runs the Hulthen 2F1 series in lockstep), yet each row depends only on its own
+grid value, so identical inputs give identical output in any order or batch.
+Per-point failures, overflows included, are recorded in the row rather than
+aborting the sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .bound import bound_for_potential
-from .core import (
-    NATURAL_UNITS,
-    PhysicsContext,
-    probabilities_from_amplitudes,
-    unitarity_defect,
-)
-from .errors import DegenerateEnergyError, InvalidInputError, QscatError
-from .exact import (
-    delta_amplitudes,
-    eckart_transmission,
-    hulthen_amplitudes_grid,
-    rectangular_above,
-    rectangular_below,
-)
-from .potentials import Delta, Eckart, Hulthen, PotentialSpec, Rectangular
+from .core import NATURAL_UNITS, MethodResult, PhysicsContext
+from .errors import InvalidInputError, QscatError
+from .potentials import PotentialSpec
 from .specfun import DEFAULT_SERIES, SeriesControl
 from .wkb import DEFAULT_QUADRATURE, QuadratureControl, wkb_for_potential
 
 METHOD_ORDER = ("exact", "wkb", "bound")
-
-_VALID_VARIABLES = {
-    Delta: ("k", "E"),
-    Rectangular: ("q", "E"),
-    Eckart: ("V0", "E"),
-    Hulthen: ("E",),
-}
-
-
-@dataclass(frozen=True)
-class MethodResult:
-    """One method's labeled output at a single grid point."""
-
-    method: str
-    transmission: float | None = None
-    reflection: float | None = None
-    defect: float | None = None
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -61,40 +32,25 @@ class SweepRow:
     gap_marker: bool = False
 
 
-def _exact_result(p: PotentialSpec, energy: float, ctx: PhysicsContext, grid_entry) -> MethodResult:
-    if isinstance(p, Delta):
-        amps = delta_amplitudes(p.alpha, energy, ctx)
-    elif isinstance(p, Rectangular):
-        if energy > p.v0:
-            amps = rectangular_above(p.v0, p.a, energy, ctx)
-        else:
-            amps = rectangular_below(p.v0, p.a, energy, ctx)
-    elif isinstance(p, Eckart):
-        t = eckart_transmission(p, energy, ctx)
-        # unitarity is mandatory for the elastic channel: report (T, 1 - T)
-        return MethodResult("exact", transmission=t, reflection=1.0 - t, defect=0.0)
-    elif isinstance(p, Hulthen):
-        if isinstance(grid_entry, QscatError):  # from hulthen_amplitudes_grid
-            raise grid_entry
-        amps = grid_entry
-    else:
-        raise InvalidInputError(f"unknown potential {type(p).__name__}")
-    prob = probabilities_from_amplitudes(amps)
-    return MethodResult(
-        "exact",
-        transmission=prob.transmission,
-        reflection=prob.reflection,
-        defect=unitarity_defect(prob),
-    )
+def _point(to_point, x) -> tuple:
+    """to_point(x), or (None, exc) for the error it raises."""
+    try:
+        return to_point(x)
+    except (QscatError, ArithmeticError) as exc:
+        return None, exc
 
 
 def _evaluate_pairs(pairs, methods, ctx, series, quadrature) -> list[tuple[dict, float | None]]:
     """evaluate_methods at each (potential, energy) pair, or (None, exc): exc for every
-    method.  The Hulthen pairs of each potential share one hulthen_amplitudes_grid call."""
-    hulthen = {}
-    for h in {p for p, _ in pairs if isinstance(p, Hulthen) and "exact" in methods}:
-        points, energies = zip(*[(i, e) for i, (p, e) in enumerate(pairs) if p == h])
-        hulthen.update(zip(points, hulthen_amplitudes_grid(h, energies, ctx.mass, series)))
+    method.  Each distinct potential makes one exact call for all of its energies."""
+    exact = {}
+    if "exact" in methods:
+        groups: dict = {}
+        for i, (p, _) in enumerate(pairs):
+            if p is not None:
+                groups.setdefault(p, []).append(i)
+        for p, points in groups.items():
+            exact.update(zip(points, p.exact([pairs[i][1] for i in points], ctx, series)))
     out = []
     for i, (p, energy) in enumerate(pairs):
         results: dict[str, MethodResult] = {}
@@ -104,16 +60,15 @@ def _evaluate_pairs(pairs, methods, ctx, series, quadrature) -> list[tuple[dict,
             try:
                 if p is None:
                     raise energy
-                if isinstance(p, Rectangular) and energy == p.v0:
-                    raise DegenerateEnergyError("both exact formulas are singular at E = v0")
                 if method == "exact":
-                    results[method] = _exact_result(p, energy, ctx, hulthen.get(i))
+                    result = exact[i]
+                    if isinstance(result, QscatError):
+                        raise result
                 elif method == "wkb":
-                    t = wkb_for_potential(p, energy, ctx, quadrature)
-                    results[method] = MethodResult("wkb", transmission=t)
+                    result = MethodResult("wkb", wkb_for_potential(p, energy, ctx, quadrature))
                 else:
-                    b = bound_for_potential(p, energy, ctx)
-                    results[method] = MethodResult("bound", transmission=b.lower_bound)
+                    result = MethodResult("bound", bound_for_potential(p, energy, ctx).lower_bound)
+                results[method] = result
             except (QscatError, ArithmeticError) as exc:
                 # an ArithmeticError is an input whose intermediates leave double range
                 code = exc.code if isinstance(exc, QscatError) else InvalidInputError.code
@@ -137,7 +92,8 @@ def evaluate_methods(
     Physics-level failures and overflows (``invalid``) become error codes on the
     affected method's result; returns (results by method, exact-minus-bound gap or None).
     """
-    return _evaluate_pairs([(p, energy)], methods, ctx, series, quadrature)[0]
+    pair = _point(p.sweep_map("E", ctx, {}), energy)
+    return _evaluate_pairs([pair], methods, ctx, series, quadrature)[0]
 
 
 @dataclass(frozen=True)
@@ -164,15 +120,7 @@ class SweepSpec:
             raise InvalidInputError(
                 f"methods must be a non-empty subset of {METHOD_ORDER}, got {set(self.methods)!r}"
             )
-        allowed = _VALID_VARIABLES[type(self.potential)]
-        if self.variable not in allowed:
-            raise InvalidInputError(
-                f"cannot sweep {self.variable!r} for {type(self.potential).__name__}; "
-                f"valid variables: {allowed}"
-            )
-        if isinstance(self.potential, Eckart) and self.variable == "V0":
-            if "energy" not in self.fixed:
-                raise InvalidInputError("sweeping V0 requires fixed={'energy': ...}")
+        self.potential.sweep_map(self.variable, self.ctx, self.fixed)  # validates the variable
         if self.log_spaced and self.lo <= 0:
             raise InvalidInputError("log-spaced grids require lo > 0")
 
@@ -182,43 +130,14 @@ class SweepSpec:
         return np.linspace(self.lo, self.hi, self.points)
 
 
-def map_sweep_variable(
-    p: PotentialSpec,
-    variable: str,
-    x: float,
-    ctx: PhysicsContext,
-    fixed: Mapping[str, float],
-) -> tuple[PotentialSpec, float]:
-    """Map one value of the swept variable to a (potential, energy) pair."""
-    if variable == "E":
-        return p, x
-    if isinstance(p, Delta) and variable == "k":
-        return p, (ctx.hbar * x) ** 2 / (2.0 * ctx.mass)
-    if isinstance(p, Rectangular) and variable == "q":
-        return p, p.v0 + (ctx.hbar * x) ** 2 / (2.0 * ctx.mass)
-    if isinstance(p, Eckart) and variable == "V0":
-        if "energy" not in fixed:
-            raise InvalidInputError("sweeping V0 requires fixed={'energy': ...}")
-        return replace(p, v0=x), fixed["energy"]
-    raise InvalidInputError(
-        f"cannot sweep {variable!r} for {type(p).__name__}; "
-        f"valid variables: {_VALID_VARIABLES[type(p)]}"
-    )
-
-
 def _sweep_rows(spec: SweepSpec, xs: list[float]) -> list[SweepRow]:
-    pairs = []
-    for x in xs:
-        try:
-            pairs.append(map_sweep_variable(spec.potential, spec.variable, x, spec.ctx, spec.fixed))
-        except (QscatError, ArithmeticError) as exc:
-            pairs.append((None, exc))
+    to_point = spec.potential.sweep_map(spec.variable, spec.ctx, spec.fixed)
+    pairs = [_point(to_point, x) for x in xs]
     evaluated = _evaluate_pairs(pairs, spec.methods, spec.ctx, spec.series, spec.quadrature)
-    rows = []
-    for x, (p, _), (results, gap) in zip(xs, pairs, evaluated):
-        marker = p is None or all(r.error == "degenerate" for r in results.values())
-        rows.append(SweepRow(x, results, bound_gap=gap, gap_marker=marker))
-    return rows
+    return [
+        SweepRow(x, results, bound_gap=gap, gap_marker=p is None)
+        for x, (p, _), (results, gap) in zip(xs, pairs, evaluated)
+    ]
 
 
 def sweep_point(spec: SweepSpec, x: float) -> SweepRow:
@@ -228,5 +147,7 @@ def sweep_point(spec: SweepSpec, x: float) -> SweepRow:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full grid in ascending variable order, as one batch (the
-    Hulthen 2F1 series of all points run in lockstep); row i is sweep_point."""
+    Hulthen 2F1 series of all points run in lockstep); row i is sweep_point.
+    A point with no (potential, energy), such as the rectangular E = v0 where
+    both exact formulas are singular, gets gap_marker and its error everywhere."""
     return _sweep_rows(spec, [float(x) for x in spec.grid()])

@@ -2,9 +2,10 @@
 
 T_w = exp(-2 sqrt(2m/hbar^2) * integral of sqrt(V(x) - E) over the barrier).
 
-``wkb_for_potential`` uses what each family has in closed form: the
-rectangular action is 2a sqrt(v0 - E), and the Hulthen and Eckart turning
-points solve V(x) = E exactly.  Every other action, of a family or of an
+``wkb_for_potential`` takes the action from the family (``p.wkb_action``),
+which uses what it has in closed form: the rectangular action is
+2a sqrt(v0 - E), and the Hulthen and Eckart turning points below solve
+V(x) = E exactly.  Every other action, of a family or of an
 arbitrary potential callable passed to ``wkb_transmission``, goes through one
 routine: a Gauss-Legendre rule on numpy arrays of nodes (48 against 96 nodes,
 halving the interval until they agree); a region bounded by turning points is
@@ -27,14 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .core import PhysicsContext
-from .errors import (
-    ConvergenceError,
-    InvalidInputError,
-    NoBarrierError,
-    UnsupportedOperationError,
-    WrongCaseError,
-)
-from .potentials import Delta, Eckart, Hulthen, PotentialSpec, Rectangular, evaluate
+from .errors import ConvergenceError, InvalidInputError, NoBarrierError
 
 # floating-point noise below the barrier top is clamped, anything worse rejected
 _NEGATIVE_SLACK = 1e-12
@@ -108,7 +102,8 @@ def _integrate_gauss_legendre(
     integral.  Refinement also stops once the unresolved difference fails to
     halve with the interval: the halved tolerance shares can then never be
     met (rounding noise in a large action does this), and halving further
-    would only multiply the intervals.
+    would only multiply the intervals.  An integral that leaves double range
+    (inf or NaN) raises InvalidInputError.
     """
     nodes, w_coarse, w_fine = _gauss_legendre_rule()
     edges = np.array([a, *breaks, b], dtype=float)
@@ -123,7 +118,9 @@ def _integrate_gauss_legendre(
         done = residual <= tol
         total += fine[done].sum()
         if done.all():
-            return float(total)
+            if math.isfinite(total):
+                return float(total)
+            break
         pending = float(residual[~done].sum())
         if depth == ctrl.max_depth or not pending <= 0.5 * pending_before:  # NaN stops too
             break
@@ -131,6 +128,8 @@ def _integrate_gauss_legendre(
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         tol, pending_before = 0.5 * tol, pending
     estimate = float(total + fine[~done].sum())
+    if not math.isfinite(estimate):
+        raise InvalidInputError(f"the integral leaves double range (estimate {estimate!r})")
     raise ConvergenceError(
         f"Gauss-Legendre quadrature did not reach abs_tol={ctrl.abs_tol:g} after {depth} of "
         f"at most {ctrl.max_depth} halvings (achieved estimate {estimate!r}, "
@@ -161,7 +160,8 @@ def _action(
     solved turning points the region is split at its midpoint and substituted
     u^2 = x - x1 (resp. x2 - x), which turns the square-root edge into a
     smooth function of u; the two halves are s = u in [0, L] and s = -u in
-    [-R, 0] of one integral, split at s = 0.
+    [-R, 0] of one integral, split at s = 0.  Values of V or of the integral
+    that overflow do so silently; an infinite action raises InvalidInputError.
     """
 
     def sqrt_gap(x: np.ndarray) -> np.ndarray:
@@ -175,18 +175,18 @@ def _action(
             )
         return np.sqrt(np.maximum(gap, 0.0))
 
-    x1, x2 = region.x1, region.x2
-    if region.source is RegionSource.FIXED_LIMITS:
-        sqrt_gap(np.array([x1, x2]))
-        return _integrate_gauss_legendre(sqrt_gap, x1, x2, ctrl, breaks)
-    mid = 0.5 * (x1 + x2)
-
     def integrand(s: np.ndarray) -> np.ndarray:
         return 2.0 * np.abs(s) * sqrt_gap(np.where(s > 0.0, x1 + s * s, x2 - s * s))
 
-    return _integrate_gauss_legendre(
-        integrand, -math.sqrt(x2 - mid), math.sqrt(mid - x1), ctrl, (0.0,)
-    )
+    x1, x2 = region.x1, region.x2
+    with np.errstate(over="ignore", invalid="ignore"):
+        if region.source is RegionSource.FIXED_LIMITS:
+            sqrt_gap(np.array([x1, x2]))
+            return _integrate_gauss_legendre(sqrt_gap, x1, x2, ctrl, breaks)
+        mid = 0.5 * (x1 + x2)
+        return _integrate_gauss_legendre(
+            integrand, -math.sqrt(x2 - mid), math.sqrt(mid - x1), ctrl, (0.0,)
+        )
 
 
 def wkb_transmission(
@@ -258,24 +258,7 @@ def find_turning_points(
     return BarrierRegion(x1, x2, RegionSource.SOLVED_TURNING_POINTS)
 
 
-def default_region(p: PotentialSpec, energy: float) -> BarrierRegion:
-    """Integration limits used by sweeps when none are given explicitly.
-
-    Rectangular: the barrier edges (-a, a).  Hulthen: fixed (-1, 1), matching
-    the published WKB recipe for this potential (narrower than the true
-    turning points; pass solve_turning_points=True to wkb_for_potential for
-    the physical region).
-    """
-    if isinstance(p, Rectangular):
-        return fixed_limits(-p.a, p.a)
-    if isinstance(p, Hulthen):
-        return fixed_limits(-1.0, 1.0)
-    raise UnsupportedOperationError(
-        f"no default WKB region for {type(p).__name__}; solve turning points instead"
-    )
-
-
-def hulthen_turning_point(p: Hulthen, energy: float) -> float:
+def hulthen_turning_point(p, energy: float) -> float:
     """Closed-form |x| where the Hulthen branch crosses E: (1/a) log(q + v0/E)."""
     if not 0 < energy < p.v0 / (1.0 - p.q):
         raise NoBarrierError(
@@ -284,7 +267,7 @@ def hulthen_turning_point(p: Hulthen, energy: float) -> float:
     return math.log(p.q + p.v0 / energy) / p.a
 
 
-def eckart_turning_points(p: Eckart, energy: float) -> BarrierRegion:
+def eckart_turning_points(p, energy: float) -> BarrierRegion:
     """Closed-form turning points of the Eckart profile.
 
     With t = tanh(x/a) and sech^2 = 1 - t^2, V(x) = E is the quadratic
@@ -310,6 +293,8 @@ def eckart_turning_points(p: Eckart, energy: float) -> BarrierRegion:
             # -v0 (1 - t1)(1 - t2) = v+ - E: accurate where a turning point lies far out
             one_plus_t1 = (energy - p.v_minus_inf) / p.v0 / (1.0 + t2)
             one_minus_t2 = (energy - p.v_plus_inf) / p.v0 / (1.0 - t1)
+            if min(one_plus_t1, one_minus_t2) == 0.0:
+                raise InvalidInputError(f"(E - V_inf)/v0 underflows at a turning point of {p!r}")
             return BarrierRegion(
                 0.5 * p.a * math.log(one_plus_t1 / (1.0 - t1)),
                 0.5 * p.a * math.log((1.0 + t2) / one_minus_t2),
@@ -319,13 +304,13 @@ def eckart_turning_points(p: Eckart, energy: float) -> BarrierRegion:
 
 
 def wkb_for_potential(
-    p: PotentialSpec,
+    p,
     energy: float,
     ctx: PhysicsContext,
     ctrl: QuadratureControl = DEFAULT_QUADRATURE,
     solve_turning_points: bool = False,
 ) -> float:
-    """WKB transmission with per-potential region conventions.
+    """WKB transmission of the potential family ``p`` over the region it chooses.
 
     Delta is excluded (distribution).  The rectangular barrier always uses its
     exact edges, where the action is 2a sqrt(v0 - E).  Hulthen defaults to the
@@ -333,25 +318,5 @@ def wkb_for_potential(
     its closed-form turning points.  The Eckart profile always uses its
     closed-form turning points (no conventional fixed window).
     """
-    if isinstance(p, Delta):
-        raise UnsupportedOperationError("WKB quadrature is undefined for the delta potential")
-    if isinstance(p, Rectangular):
-        if not 0 < energy < p.v0:
-            raise WrongCaseError(
-                f"WKB tunneling needs 0 < E < v0, got E={energy!r}, v0={p.v0!r}"
-            )
-        action = 2.0 * p.a * math.sqrt(p.v0 - energy)
-    else:
-        breaks = ()
-        if isinstance(p, Hulthen) and solve_turning_points:
-            edge = hulthen_turning_point(p, energy)
-            region = BarrierRegion(-edge, edge, RegionSource.SOLVED_TURNING_POINTS)
-        elif isinstance(p, Hulthen):
-            # the fixed window is split at the cusp of V at x = 0
-            region, breaks = default_region(p, energy), (0.0,)
-        elif isinstance(p, Eckart):
-            region = eckart_turning_points(p, energy)
-        else:
-            raise UnsupportedOperationError(f"unknown potential {type(p).__name__}")
-        action = _action(lambda x: evaluate(p, x), energy, region, ctrl, breaks)
+    action = p.wkb_action(energy, ctrl, solve_turning_points)
     return math.exp(-2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar * action)

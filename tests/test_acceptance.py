@@ -15,12 +15,14 @@ relative-error trend near the barrier top.
 """
 
 import cmath
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import mp_hyp2f1
+from oracles import mp_hyp2f1, rectangular_bound_closed_form
 from qscat import (
     Delta,
     Eckart,
@@ -37,7 +39,6 @@ from qscat import (
     probabilities_from_amplitudes,
     rectangular_above,
     rectangular_below,
-    rectangular_bound_closed_form,
     bound_for_potential,
     unitarity_defect,
     wkb_for_potential,
@@ -275,7 +276,7 @@ def test_criterion_7_special_functions(rng):
 @pytest.fixture(scope="module")
 def figure_dirs(tmp_path_factory):
     dirs = {}
-    for preset in ("fig1", "fig3", "fig5", "fig7", "fig10", "fig11"):
+    for preset in ("fig1", "fig3", "fig3a", "fig4", "fig5", "fig7", "fig10", "fig11"):
         out = tmp_path_factory.mktemp(preset)
         assert main(["figure", preset, "--out", str(out)]) == 0
         dirs[preset] = out
@@ -338,6 +339,19 @@ def test_criterion_8_figure_shapes(figure_dirs):
         if not all(s < w for w, s in zip(weaker, stronger)):
             ok = False
     assert _report(8, "figure presets reproduce the published shapes", ok), counts
+
+
+def test_figure_presets_byte_identical_to_golden(figure_dirs):
+    # every CSV and manifest of the eight presets, against the committed digests
+    table = Path(__file__).with_name("preset_sha256.txt").read_text().splitlines()
+    golden = {name: digest for digest, name in (line.split() for line in table if not line.startswith("#"))}
+    produced = {
+        f"{preset}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for preset, out in figure_dirs.items()
+        for path in out.iterdir()
+    }
+    changed = sorted(name for name in golden.keys() | produced.keys() if golden.get(name) != produced.get(name))
+    assert not changed, f"preset output differs from tests/preset_sha256.txt: {changed}"
 
 
 # ---------------------------------------------------------------------------

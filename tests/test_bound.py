@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import rectangular_bound_closed_form
 from qscat import (
     Delta,
     Eckart,
@@ -14,7 +15,6 @@ from qscat import (
     evaluate,
     probabilities_from_amplitudes,
     rectangular_above,
-    rectangular_bound_closed_form,
     transmission_bound,
 )
 from qscat.errors import InvalidInputError, UnsupportedOperationError

@@ -1,10 +1,13 @@
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscat.cli import format_number, main
@@ -297,6 +300,69 @@ class TestSweep:
 
 
 HULTHEN = ("--potential", "hulthen", "--v0", "1", "--a", "0.5", "--q", "0.9")
+RECT_PHASE_ABOVE = ("eval", "--potential", "rect", "--v0", "1e-300", "--a", "1e290", "--energy", "1e290")
+RECT_PHASE_BELOW = ("eval", "--potential", "rect", "--v0", "1e290", "--a", "1e290", "--energy", "1e289")
+ECKART_TURNING_POINT = (
+    "eval", "--potential", "eckart", "--v0", "1e226", "--a", "1", "--energy", "1e-133", "--method", "wkb"
+)
+HULTHEN_WINDOW = (
+    "eval", "--potential", "hulthen", "--v0", "1", "--a", "1e300", "--q", "0.9", "--energy", "0.5",
+    "--method", "wkb",
+)
+ECKART_ACTION = (
+    "eval", "--potential", "eckart", "--v0", "1e134", "--a", "1e250", "--energy", "1e-79", "--method", "wkb"
+)
+ECKART_THIN = (
+    "eval", "--potential", "eckart", "--v0", "1", "--a", "1e-20", "--energy", "1",
+    "--method", "exact", "--method", "bound",
+)
+
+# every float flag of each family; --energy, --hbar and --mass come on top
+FAMILY_FLAGS = {
+    "delta": ("--alpha",),
+    "rect": ("--v0", "--a"),
+    "eckart": ("--v0", "--a", "--v-minus-inf", "--v-plus-inf"),
+    "hulthen": ("--v0", "--a", "--q"),
+}
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def extreme_eval_argv(draw):
+    family = draw(st.sampled_from(sorted(FAMILY_FLAGS)))
+    argv = ["eval", "--potential", family]
+    for flag in (*FAMILY_FLAGS[family], "--energy", "--hbar", "--mass"):
+        argv += [flag, repr(draw(LOG_UNIFORM))]
+    return argv
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(extreme_eval_argv())
+@example(list(RECT_PHASE_ABOVE))
+@example(list(RECT_PHASE_BELOW))
+@example(list(ECKART_TURNING_POINT[:-2]))
+@example(list(HULTHEN_WINDOW[:-2]))
+@example(list(ECKART_ACTION[:-2]))
+@example(list(ECKART_THIN[:-4]))
+def test_extreme_inputs_give_numbers_or_err_cells(argv):
+    """Any accepted input exits 0 with finite numbers or ERR:<code> cells (or 2 with one
+    usage-error line), never a traceback or a warning, and the bound stays below T."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([*argv, "--method", "exact", "--method", "wkb", "--method", "bound"])
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+        return
+    assert code == 0 and err.getvalue() == ""
+    header, row = out.getvalue().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    for cell in cells.values():
+        assert cell.startswith("ERR:") or math.isfinite(float(cell)), cells
+    exact, bound = cells["exact_T"], cells["bound_T"]
+    if not (exact.startswith("ERR:") or bound.startswith("ERR:")):
+        assert float(bound) <= float(exact) * (1.0 + 1e-9), cells
 
 
 class TestOverflowCells:
@@ -316,7 +382,7 @@ class TestOverflowCells:
             (
                 ("sweep", "--potential", "delta", "--alpha", "1", "--var", "k",
                  "--lo", "1e200", "--hi", "1e300", "--points", "3"),
-                [True, True, True],  # map_sweep_variable: (hbar k)^2
+                [True, True, True],  # the sweep map: (hbar k)^2
             ),
             (
                 ("sweep", "--potential", "eckart", "--v0", "1", "--a", "1e300",
@@ -332,9 +398,21 @@ class TestOverflowCells:
                 ("sweep", *HULTHEN, "--var", "E", "--lo", "1.09", "--hi", "1e300", "--points", "3"),
                 [False, True, True],
             ),
+            (RECT_PHASE_ABOVE, [True]),  # e^{2iqa} of an infinite phase
+            (RECT_PHASE_BELOW, [True]),  # e^{-2ika} of an infinite phase
+            (ECKART_TURNING_POINT, [True]),  # E/v0 underflows at a turning point
+            (HULTHEN_WINDOW, [True]),  # V(+-1) underflows to 0 < E
+            (ECKART_ACTION, [True]),  # the action leaves double range
+            (
+                ("sweep", "--potential", "rect", "--v0", "1", "--a", "1e160", "--var", "E",
+                 "--lo", "2", "--hi", "1e300", "--points", "3"),
+                [False, True, True],  # only 2ka of the two upper points overflows
+            ),
         ],
         ids=["hulthen-E1e300", "hulthen-E1e154", "hulthen-v0", "delta-k", "eckart-a",
-             "hulthen-bound-hbar", "hulthen-partly-finite"],
+             "hulthen-bound-hbar", "hulthen-partly-finite", "rect-phase-above",
+             "rect-phase-below", "eckart-turning-point", "hulthen-window", "eckart-action",
+             "rect-phase-partly-finite"],
     )
     def test_overflow_is_invalid_cell(self, capsys, argv, invalid_rows):
         code, out, err = run_cli(capsys, *argv)
@@ -406,6 +484,17 @@ class TestResonancesCommand:
         )
         assert code == 2
         assert "--numeric" in err
+
+    def test_numeric_scan_overflow_is_usage_error(self, capsys):
+        # (hbar k)^2 overflows at the first grid point
+        code, out, err = run_cli(
+            capsys,
+            "resonances", "--potential", "delta", "--alpha", "1", "--var", "k",
+            "--numeric", "--lo", "1e200", "--hi", "1e300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_numeric_mode(self, capsys):
         code, out, _ = run_cli(

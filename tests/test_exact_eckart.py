@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mp_eckart_transmission, schrodinger_transmission
-from qscat import (
-    Eckart,
-    eckart_reflection_paper,
-    eckart_transmission,
+from oracles import (
     eckart_transmission_amplitude,
-    evaluate,
+    mp_eckart_transmission,
+    schrodinger_transmission,
 )
+from qscat import Eckart, bound_for_potential, eckart_reflection_paper, eckart_transmission, evaluate
 from qscat.errors import InvalidInputError, WrongCaseError
 
 
@@ -83,6 +81,16 @@ class TestTransmission:
         t = eckart_transmission(Eckart(v_minus, v_plus, v0, a), energy, ctx)
         expected = mp_eckart_transmission(v_minus, v_plus, v0, a, energy)
         assert t == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("a", [1e-20, 1e-10, 1e-5])
+    def test_thin_barrier_against_gamma_form(self, ctx, a):
+        # 2 m v0 a^2 / hbar^2 -> 0: cos(pi sqrt(1/4 - g)) computed directly cancels
+        # to rounding noise (T was 5.3e-7 at a = 1e-20, under the sech^2 bound of 1)
+        e = _symmetric(1.0, a)
+        t = eckart_transmission(e, 1.0, ctx)
+        assert t == pytest.approx(mp_eckart_transmission(0.0, 0.0, 1.0, a, 1.0), rel=1e-9, abs=0.0)
+        # the bound is tight here: it may sit a rounding error above T
+        assert bound_for_potential(e, 1.0, ctx).lower_bound <= t * (1.0 + 1e-9)
 
     def test_evanescent_channel_rejected(self, ctx):
         with pytest.raises(WrongCaseError):

@@ -12,7 +12,6 @@ from qscat import (
     asymptotic_values,
     asymptotic_wavenumbers,
     evaluate,
-    wavenumbers,
 )
 from qscat.errors import (
     DegenerateEnergyError,
@@ -20,6 +19,7 @@ from qscat.errors import (
     UnsupportedOperationError,
     WrongCaseError,
 )
+from qscat.wkb import DEFAULT_QUADRATURE
 
 
 class TestEvaluate:
@@ -71,47 +71,53 @@ class TestAsymptoticValues:
 
 
 class TestWavenumbers:
+    """The wavenumbers behind the swept variables and the exact formulas: k of the
+    asymptotic channels, the interior q (E = v0 + hbar^2 q^2 / 2m) and decay
+    constant Q of the rectangular barrier, and the delta scale k0 = m alpha / hbar^2."""
+
     def test_rectangular_above(self, ctx):
-        w = wavenumbers(Rectangular(v0=1.0, a=1.0), 2.0, ctx)
-        assert w.k == pytest.approx(2.0)
-        assert w.q_inside == pytest.approx(math.sqrt(2.0))
-        assert w.k0 == pytest.approx(math.sqrt(2.0))
-        assert w.big_q is None
+        r = Rectangular(v0=1.0, a=1.0)
+        p, energy = r.sweep_map("q", ctx, {})(math.sqrt(2.0))
+        assert p == r and energy == pytest.approx(2.0)
+        assert asymptotic_wavenumbers(r, 2.0, ctx) == pytest.approx((2.0, 2.0))
 
     def test_rectangular_below(self, ctx):
-        w = wavenumbers(Rectangular(v0=1.0, a=1.0), 0.5, ctx)
-        assert w.k == pytest.approx(1.0)
-        assert w.big_q == pytest.approx(1.0)
-        assert w.q_inside is None
+        r = Rectangular(v0=1.0, a=1.0)
+        assert asymptotic_wavenumbers(r, 0.5, ctx) == pytest.approx((1.0, 1.0))
+        # the WKB action 2a sqrt(v0 - E) is 2 Q a hbar / sqrt(2m), Q = 1
+        assert r.wkb_action(0.5, DEFAULT_QUADRATURE) == pytest.approx(math.sqrt(2.0))
 
     def test_delta_strength_scale(self, ctx):
-        w = wavenumbers(Delta(alpha=1.0), 3.0, ctx)
-        assert w.k0 == pytest.approx(1.0)
-        assert w.k == pytest.approx(math.sqrt(6.0))
+        d = Delta(alpha=1.0)
+        assert d.sweep_map("k", ctx, {})(math.sqrt(6.0))[1] == pytest.approx(3.0)
+        # k = k0 = 1 transmits half
+        (at_k0,) = d.exact([d.sweep_map("k", ctx, {})(1.0)[1]], ctx)
+        assert at_k0.transmission == pytest.approx(0.5, abs=1e-15)
 
     def test_consistency_identities(self, rng):
         ctx = PhysicsContext(hbar=1.7, mass=0.6)
         for _ in range(100):
             v0 = rng.uniform(0.1, 10.0)
-            a = rng.uniform(0.1, 3.0)
-            energy = v0 * rng.uniform(1.01, 10.0)
-            w = wavenumbers(Rectangular(v0=v0, a=a), energy, ctx)
-            assert w.k0**2 == pytest.approx(w.k**2 - w.q_inside**2, rel=1e-12)
+            r = Rectangular(v0=v0, a=rng.uniform(0.1, 3.0))
+            k0_sq = 2.0 * ctx.mass * v0 / ctx.hbar**2
+            q = math.sqrt(k0_sq * rng.uniform(0.01, 9.0))  # E/v0 in [1.01, 10]
+            _, energy = r.sweep_map("q", ctx, {})(q)
+            k, _ = asymptotic_wavenumbers(r, energy, ctx)
+            assert k0_sq == pytest.approx(k**2 - q**2, rel=1e-12)
             energy = v0 * rng.uniform(0.01, 0.99)
-            w = wavenumbers(Rectangular(v0=v0, a=a), energy, ctx)
-            assert w.k0**2 == pytest.approx(w.k**2 + w.big_q**2, rel=1e-12)
+            k, _ = asymptotic_wavenumbers(r, energy, ctx)
+            big_q = math.sqrt(2.0 * ctx.mass) / ctx.hbar * r.wkb_action(energy, DEFAULT_QUADRATURE) / (2.0 * r.a)
+            assert k0_sq == pytest.approx(k**2 + big_q**2, rel=1e-12)
 
     def test_degenerate_energy_rejected(self, ctx):
-        with pytest.raises(DegenerateEnergyError):
-            wavenumbers(Rectangular(v0=1.0, a=1.0), 1.0, ctx)
+        r = Rectangular(v0=1.0, a=1.0)
+        for variable, x in (("E", 1.0), ("q", 0.0)):
+            with pytest.raises(DegenerateEnergyError):
+                r.sweep_map(variable, ctx, {})(x)
 
     def test_nonpositive_energy_rejected(self, ctx):
-        with pytest.raises(InvalidInputError):
-            wavenumbers(Delta(alpha=1.0), 0.0, ctx)
-
-    def test_unsupported_for_smooth_potentials(self, ctx):
-        with pytest.raises(UnsupportedOperationError):
-            wavenumbers(Hulthen(v0=1.0, a=0.5, q=0.9), 2.0, ctx)
+        (result,) = Delta(alpha=1.0).exact([0.0], ctx)
+        assert isinstance(result, InvalidInputError)
 
 
 class TestAsymptoticWavenumbers:
