@@ -19,7 +19,7 @@ from .errors import QscatError, UnsupportedOperationError
 from .potentials import Delta, Eckart, Hulthen, PotentialSpec, Rectangular
 from .exact import eckart_reflection_paper
 from .resonance import Kind, ResonanceListing, analytic_resonances, numeric_resonances
-from .sweep import METHOD_ORDER, SweepRow, SweepSpec, evaluate_methods, run_sweep
+from .sweep import METHOD_ORDER, SweepRow, SweepSpec, evaluate_methods, run_sweep, sweep_rows
 
 _USAGE_EXIT = 2
 _IO_EXIT = 3
@@ -53,17 +53,16 @@ def format_number(x: float) -> str:
     return out
 
 
+# each method's CSV columns and the MethodResult field behind each
+_COLUMNS = {
+    "exact": (("exact_T", "transmission"), ("exact_R", "reflection"), ("exact_defect", "defect")),
+    "wkb": (("wkb_T", "transmission"),),
+    "bound": (("bound_T", "transmission"),),
+}
+
+
 def _method_columns(methods: frozenset[str]) -> list[str]:
-    cols = []
-    for m in METHOD_ORDER:
-        if m not in methods:
-            continue
-        if m == "exact":
-            cols += ["exact_T", "exact_R", "exact_defect"]
-        elif m == "wkb":
-            cols += ["wkb_T"]
-        else:
-            cols += ["bound_T"]
+    cols = [col for m in METHOD_ORDER if m in methods for col, _ in _COLUMNS[m]]
     if "exact" in methods and "bound" in methods:
         cols.append("bound_gap")
     return cols
@@ -77,17 +76,9 @@ def _row_cells(row, methods: frozenset[str]) -> list[str]:
         res = row.results.get(m)
         if res is None or res.error is not None:
             code = res.error if res is not None else "na"
-            n = 3 if m == "exact" else 1
-            cells += [f"ERR:{code}"] * n
-            continue
-        if m == "exact":
-            cells += [
-                format_number(res.transmission),
-                format_number(res.reflection),
-                format_number(res.defect),
-            ]
+            cells += [f"ERR:{code}"] * len(_COLUMNS[m])
         else:
-            cells.append(format_number(res.transmission))
+            cells += [format_number(getattr(res, field)) for _, field in _COLUMNS[m]]
     if "exact" in methods and "bound" in methods:
         cells.append(format_number(row.bound_gap) if row.bound_gap is not None else "ERR:na")
     return cells
@@ -164,7 +155,11 @@ def _expand_spec_files(argv: list[str]) -> list[str]:
         if argv[i] == "--spec":
             if i + 1 >= len(argv):
                 raise QscatError("--spec needs a file path")
-            for line in Path(argv[i + 1]).read_text().splitlines():
+            try:
+                text = Path(argv[i + 1]).read_text()
+            except OSError as exc:  # a spec file that cannot be read is a usage error
+                raise QscatError(str(exc)) from None
+            for line in text.splitlines():
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -187,14 +182,10 @@ def _expand_spec_files(argv: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 # eval / wkb / bound
 
-def _cmd_eval(args, forced_method: str | None = None) -> int:
-    try:
-        potential = _build_potential(args)
-        ctx = _build_ctx(args)
-    except QscatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    methods = frozenset([forced_method]) if forced_method else frozenset(args.method)
+def _cmd_eval(args) -> int:
+    potential = _build_potential(args)
+    ctx = _build_ctx(args)
+    methods = frozenset(args.method or ["exact"])
     results, bound_gap = evaluate_methods(potential, args.energy, methods, ctx)
     header = ["energy"] + _method_columns(methods)
     row = SweepRow(args.energy, results, bound_gap)
@@ -215,48 +206,31 @@ def _cmd_eval(args, forced_method: str | None = None) -> int:
 # sweep
 
 def _cmd_sweep(args) -> int:
-    try:
-        potential = _build_potential(args)
-        ctx = _build_ctx(args)
-        fixed = {} if args.energy is None else {"energy": args.energy}
-        spec = SweepSpec(
-            potential=potential,
-            variable=args.var,
-            lo=args.lo,
-            hi=args.hi,
-            points=args.points,
-            methods=frozenset(args.methods.split(",")),
-            ctx=ctx,
-            fixed=fixed,
-            log_spaced=args.log_spaced,
-        )
-    except QscatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+    spec = SweepSpec(
+        potential=_build_potential(args),
+        variable=args.var,
+        lo=args.lo,
+        hi=args.hi,
+        points=args.points,
+        methods=frozenset(args.methods.split(",")),
+        ctx=_build_ctx(args),
+        fixed={} if args.energy is None else {"energy": args.energy},
+        log_spaced=args.log_spaced,
+    )
     text = render_sweep_csv(run_sweep(spec), spec.methods)
     if args.out is None:
         sys.stdout.write(text)
-        return 0
-    try:
+    else:
         Path(args.out).write_text(text, newline="")
-    except OSError as exc:
-        print(f"error writing {args.out}: {exc}", file=sys.stderr)
-        return _IO_EXIT
     return 0
 
 
 # ---------------------------------------------------------------------------
 # resonances
 
-def _resonance_table(listing_or_reports) -> str:
-    if isinstance(listing_or_reports, ResonanceListing):
-        reports = listing_or_reports.reports
-        reason = listing_or_reports.reason
-    else:
-        reports = listing_or_reports
-        reason = None
+def _resonance_table(listing: ResonanceListing) -> str:
     lines = ["kind,location,value,source,label,boundary"]
-    for r in reports:
+    for r in listing.reports:
         lines.append(
             ",".join(
                 [
@@ -270,59 +244,46 @@ def _resonance_table(listing_or_reports) -> str:
             )
         )
     text = "\n".join(lines) + "\n"
-    if reason:
-        text += f"# {reason}\n"
+    if listing.reason:
+        text += f"# {listing.reason}\n"
     return text
 
 
 def _cmd_resonances(args) -> int:
-    try:
-        potential = _build_potential(args)
-        ctx = _build_ctx(args)
-    except QscatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+    potential = _build_potential(args)
+    ctx = _build_ctx(args)
     kind = Kind(args.kind)
     if args.numeric:
         if args.lo is None or args.hi is None:
-            print("error: --numeric requires --lo and --hi", file=sys.stderr)
-            return _USAGE_EXIT
+            raise QscatError("--numeric requires --lo and --hi")
         fixed = {} if args.energy is None else {"energy": args.energy}
+        spec = SweepSpec(potential, args.var, args.lo, args.hi, args.grid_n, ctx=ctx, fixed=fixed)
+        curve = _probability_curve(spec, kind)
+        reports = numeric_resonances(curve, (args.lo, args.hi), args.grid_n, args.refine_tol, kind)
+        listing = ResonanceListing(tuple(reports))
+    else:
         try:
-            curve = _probability_curve(potential, args.var, kind, ctx, fixed)
-            reports = numeric_resonances(
-                curve, (args.lo, args.hi), args.grid_n, args.refine_tol, kind
-            )
-        except QscatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return _USAGE_EXIT
-        sys.stdout.write(_resonance_table(reports))
-        return 0
-    try:
-        listing = analytic_resonances(potential, args.var, args.n, ctx, kind, args.energy)
-    except UnsupportedOperationError as exc:
-        print(f"error: {exc} (try --numeric)", file=sys.stderr)
-        return _USAGE_EXIT
-    except QscatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+            listing = analytic_resonances(potential, args.var, args.n, ctx, kind, args.energy)
+        except UnsupportedOperationError as exc:
+            raise UnsupportedOperationError(f"{exc} (try --numeric)") from None
     sys.stdout.write(_resonance_table(listing))
     return 0
 
 
-def _probability_curve(potential, var, kind: Kind, ctx, fixed):
-    """Exact T or R as a function of one sweep variable."""
-    to_point = potential.sweep_map(var, ctx, fixed)
+def _probability_curve(spec: SweepSpec, kind: Kind):
+    """Exact T or R at a list of values of the spec's variable, as one sweep batch."""
 
-    def curve(x: float) -> float:
-        try:
-            p, energy = to_point(x)
-        except (QscatError, ArithmeticError) as exc:  # an overflow, or rectangular E = v0
-            raise QscatError(f"{var}={x!r} gives no point to evaluate: {exc}") from None
-        res = evaluate_methods(p, energy, frozenset({"exact"}), ctx)[0]["exact"]
-        if res.error is not None:
-            raise QscatError(f"exact evaluation failed at {var}={x!r}: {res.error}")
-        return res.transmission if kind is Kind.TRANSMISSION else res.reflection
+    def curve(xs: list[float]) -> list[float]:
+        out = []
+        for row in sweep_rows(spec, xs):
+            res = row.results["exact"]
+            if res.error is not None:
+                raise QscatError(
+                    f"exact evaluation failed at {spec.variable}={row.variable_value!r}: "
+                    f"ERR:{res.error}"
+                )
+            out.append(res.transmission if kind is Kind.TRANSMISSION else res.reflection)
+        return out
 
     return curve
 
@@ -375,29 +336,17 @@ def _spec_manifest(spec: SweepSpec) -> dict:
 
 def _cmd_figure(args) -> int:
     if args.preset not in FIGURE_PRESETS:
-        print(
-            f"error: unknown preset {args.preset!r}; available: {', '.join(FIGURE_PRESETS)}",
-            file=sys.stderr,
-        )
-        return _USAGE_EXIT
+        raise QscatError(f"unknown preset {args.preset!r}; available: {', '.join(FIGURE_PRESETS)}")
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error creating {out_dir}: {exc}", file=sys.stderr)
-        return _IO_EXIT
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {}
-    try:
-        for panel, spec in _figure_panels(args.preset):
-            text = render_sweep_csv(run_sweep(spec), spec.methods)
-            (out_dir / f"{panel}.csv").write_text(text, newline="")
-            manifest[f"{panel}.csv"] = _spec_manifest(spec)
-        (out_dir / f"{args.preset}_manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline=""
-        )
-    except OSError as exc:
-        print(f"error writing into {out_dir}: {exc}", file=sys.stderr)
-        return _IO_EXIT
+    for panel, spec in _figure_panels(args.preset):
+        text = render_sweep_csv(run_sweep(spec), spec.methods)
+        (out_dir / f"{panel}.csv").write_text(text, newline="")
+        manifest[f"{panel}.csv"] = _spec_manifest(spec)
+    (out_dir / f"{args.preset}_manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline=""
+    )
     return 0
 
 
@@ -412,6 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="single-point T/R evaluation")
+    p_eval.set_defaults(run=_cmd_eval)
     _add_potential_args(p_eval)
     p_eval.add_argument("--energy", type=float, required=True)
     p_eval.add_argument(
@@ -426,12 +376,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append the literature Eckart reflection value under this convention",
     )
 
-    for alias, method in (("wkb", "wkb"), ("bound", "bound")):
-        p_alias = sub.add_parser(alias, help=f"eval with the {method} method preselected")
+    for method in ("wkb", "bound"):
+        p_alias = sub.add_parser(method, help=f"eval with the {method} method preselected")
+        p_alias.set_defaults(run=_cmd_eval, method=[method])
         _add_potential_args(p_alias)
         p_alias.add_argument("--energy", type=float, required=True)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep to CSV")
+    p_sweep.set_defaults(run=_cmd_sweep)
     _add_potential_args(p_sweep)
     p_sweep.add_argument("--var", required=True, choices=("k", "q", "E", "V0"))
     p_sweep.add_argument("--lo", type=float, required=True)
@@ -443,6 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="output CSV path (stdout when omitted)")
 
     p_res = sub.add_parser("resonances", help="analytic or numeric resonance listing")
+    p_res.set_defaults(run=_cmd_resonances)
     _add_potential_args(p_res)
     p_res.add_argument("--var", required=True, choices=("k", "q", "E", "V0"))
     p_res.add_argument("--kind", default="transmission", choices=("transmission", "reflection"))
@@ -455,6 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--refine-tol", type=float, default=1e-8)
 
     p_fig = sub.add_parser("figure", help="figure-reproduction presets")
+    p_fig.set_defaults(run=_cmd_figure)
     p_fig.add_argument("preset", help=f"one of {', '.join(FIGURE_PRESETS)}")
     p_fig.add_argument("--out", required=True, help="output directory")
 
@@ -462,27 +416,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the one place where a QscatError becomes a usage error
+    (exit 2) and an OSError an I/O error (exit 3)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _expand_spec_files(argv)
-    except (QscatError, OSError) as exc:
+        args = _build_parser().parse_args(_expand_spec_files(argv))
+        return args.run(args)
+    except QscatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "eval":
-        if args.method is None:
-            args.method = ["exact"]
-        return _cmd_eval(args)
-    if args.command == "wkb":
-        return _cmd_eval(args, forced_method="wkb")
-    if args.command == "bound":
-        return _cmd_eval(args, forced_method="bound")
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "resonances":
-        return _cmd_resonances(args)
-    return _cmd_figure(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _IO_EXIT
 
 
 if __name__ == "__main__":

@@ -41,8 +41,6 @@ class ScatteringAmplitudes:
 
     t: complex
     r: complex
-    k_in: float
-    k_out: float
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ def delta_amplitudes(alpha: float, energy: float, ctx: PhysicsContext) -> Scatte
     k = math.sqrt(2.0 * ctx.mass * energy) / ctx.hbar
     k0 = ctx.mass * alpha / ctx.hbar**2
     denom = k - 1j * k0
-    return ScatteringAmplitudes(t=k / denom, r=1j * k0 / denom, k_in=k, k_out=k)
+    return ScatteringAmplitudes(t=k / denom, r=1j * k0 / denom)
 
 
 def rectangular_above(
@@ -80,7 +80,7 @@ def rectangular_above(
     phase = cmath.exp(2j * k * a)
     t = 4.0 * k * q * phase / denom
     r = 2j * (k**2 - q**2) * math.sin(2.0 * q * a) * phase / denom
-    return ScatteringAmplitudes(t=t, r=r, k_in=k, k_out=k)
+    return ScatteringAmplitudes(t=t, r=r)
 
 
 def rectangular_below(
@@ -112,7 +112,7 @@ def rectangular_below(
     phase = cmath.exp(-2j * k * a)
     t = 2j * big_q * k * math.sqrt(decay) * phase / denom
     r = (k**2 + big_q**2) * sh * phase / denom
-    return ScatteringAmplitudes(t=t, r=r, k_in=k, k_out=k)
+    return ScatteringAmplitudes(t=t, r=r)
 
 
 def _scaled_cosh(y: float, scale: float) -> float:
@@ -272,7 +272,7 @@ def _hulthen_assemble(par: HulthenParams, f1, f2, f3, f4, f5, f6) -> ScatteringA
     flux = (par.energy + par.k) / par.mass
     r = -q * q_pow_2mu * a_plus / (1 + 2 * mu) * flux * r_num / denom
 
-    return ScatteringAmplitudes(t=t, r=r, k_in=par.k, k_out=par.k)
+    return ScatteringAmplitudes(t=t, r=r)
 
 
 def hulthen_amplitudes_grid(

@@ -36,7 +36,7 @@ from .exact import (
     rectangular_below,
 )
 from .resonance import Kind, ResonanceListing, ResonanceReport, Source, _label_for
-from .specfun import DEFAULT_SERIES
+from . import specfun, wkb
 from .wkb import (
     BarrierRegion,
     RegionSource,
@@ -72,8 +72,9 @@ def _from_amplitudes(amps) -> MethodResult:
 
 
 class _Family:
-    """What a family lacks.  Each family also defines ``exact(energies, ctx,
-    series)``: one MethodResult or QscatError per energy."""
+    """What a family lacks.  Each family also defines ``exact(energies, ctx)``: one
+    MethodResult or QscatError per energy.  The 2F1 series and the quadrature run
+    on ``specfun.DEFAULT_SERIES`` and ``wkb.DEFAULT_QUADRATURE``, read at each call."""
 
     variables: ClassVar[tuple[str, ...]] = ("E",)
 
@@ -98,7 +99,7 @@ class _Family:
     def _point(self, variable, x, ctx, fixed):
         return self, x
 
-    def wkb_action(self, energy, ctrl, solve_turning_points=False) -> float:
+    def wkb_action(self, energy, solve_turning_points=False) -> float:
         """Integral of sqrt(V - E) over the family's barrier region."""
         raise UnsupportedOperationError(f"WKB quadrature is undefined for {type(self).__name__}")
 
@@ -130,7 +131,7 @@ class Delta(_Family):
     def _point(self, variable, x, ctx, fixed):
         return self, (ctx.hbar * x) ** 2 / (2.0 * ctx.mass) if variable == "k" else x
 
-    def exact(self, energies, ctx, series=DEFAULT_SERIES) -> list:
+    def exact(self, energies, ctx) -> list:
         return _each(energies, lambda e: _from_amplitudes(delta_amplitudes(self.alpha, e, ctx)))
 
     def resonances(self, var, n_max, ctx, kind, energy=None) -> ResonanceListing:
@@ -172,14 +173,14 @@ class Rectangular(_Family):
             raise DegenerateEnergyError("both exact formulas are singular at E = v0")
         return self, energy
 
-    def exact(self, energies, ctx, series=DEFAULT_SERIES) -> list:
+    def exact(self, energies, ctx) -> list:
         def at(energy):
             formula = rectangular_above if energy > self.v0 else rectangular_below
             return _from_amplitudes(formula(self.v0, self.a, energy, ctx))
 
         return _each(energies, at)
 
-    def wkb_action(self, energy, ctrl, solve_turning_points=False) -> float:
+    def wkb_action(self, energy, solve_turning_points=False) -> float:
         if not 0 < energy < self.v0:
             raise WrongCaseError(
                 f"WKB tunneling needs 0 < E < v0, got E={energy!r}, v0={self.v0!r}"
@@ -240,7 +241,7 @@ class Eckart(_Family):
     def _point(self, variable, x, ctx, fixed):
         return (replace(self, v0=x), fixed["energy"]) if variable == "V0" else (self, x)
 
-    def exact(self, energies, ctx, series=DEFAULT_SERIES) -> list:
+    def exact(self, energies, ctx) -> list:
         def at(energy):
             t = eckart_transmission(self, energy, ctx)
             # unitarity is mandatory for the elastic channel: report (T, 1 - T)
@@ -248,9 +249,10 @@ class Eckart(_Family):
 
         return _each(energies, at)
 
-    def wkb_action(self, energy, ctrl, solve_turning_points=False) -> float:
+    def wkb_action(self, energy, solve_turning_points=False) -> float:
         # always between the closed-form turning points: no conventional fixed window
-        return _action(self.values, energy, eckart_turning_points(self, energy), ctrl)
+        region = eckart_turning_points(self, energy)
+        return _action(self.values, energy, region, wkb.DEFAULT_QUADRATURE)
 
     def bound_area(self) -> float:
         # the bound assumes one asymptotic k0 on both sides; equal asymptotes leave
@@ -312,9 +314,9 @@ class Hulthen(_Family):
         # at x = 0 they share the limit v0/(1-q)
         return self.v0 / (np.exp(self.a * np.abs(x)) - self.q)
 
-    def exact(self, energies, ctx, series=DEFAULT_SERIES) -> list:
+    def exact(self, energies, ctx) -> list:
         # one lockstep 2F1 kernel call for all energies; _each takes them in order
-        amplitudes = iter(hulthen_amplitudes_grid(self, energies, ctx.mass, series))
+        amplitudes = iter(hulthen_amplitudes_grid(self, energies, ctx.mass, specfun.DEFAULT_SERIES))
 
         def at(energy):
             amps = next(amplitudes)
@@ -324,9 +326,10 @@ class Hulthen(_Family):
 
         return _each(energies, at)
 
-    def wkb_action(self, energy, ctrl, solve_turning_points=False) -> float:
+    def wkb_action(self, energy, solve_turning_points=False) -> float:
         # the fixed (-1, 1) window of the published recipe, split at the cusp of V at
         # x = 0, or the physical region between the closed-form turning points
+        ctrl = wkb.DEFAULT_QUADRATURE
         if solve_turning_points:
             edge = hulthen_turning_point(self, energy)
             region = BarrierRegion(-edge, edge, RegionSource.SOLVED_TURNING_POINTS)

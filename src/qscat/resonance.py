@@ -103,7 +103,7 @@ def golden_section_max(
 
 
 def numeric_resonances(
-    curve: Callable[[float], float],
+    curve: Callable[[list[float]], list[float]],
     domain: tuple[float, float],
     grid_n: int = 256,
     refine_tol: float = 1e-8,
@@ -111,6 +111,8 @@ def numeric_resonances(
 ) -> list[ResonanceReport]:
     """Coarse grid scan for interior local maxima plus golden-section refinement.
 
+    ``curve`` maps a list of values to the list of probabilities there: the whole
+    grid goes to it in one call, each refinement step as a one-value list.
     Endpoint maxima are deliberately excluded (boundary limits such as the
     k = 0 reflection resonance are not peaks).  Returns an empty list for a
     curve with no interior maxima (e.g. a constant).
@@ -122,13 +124,18 @@ def numeric_resonances(
     lo, hi = domain
     if not lo < hi:
         raise InvalidInputError(f"bad domain {domain!r}")
+    # not np.linspace: its points differ in the last bit from these at some i
     xs = [lo + (hi - lo) * i / (grid_n - 1) for i in range(grid_n)]
-    ys = [curve(x) for x in xs]
+    ys = curve(xs)
+
+    def at(x: float) -> float:
+        return curve([x])[0]
+
     reports = []
     for i in range(1, grid_n - 1):
         if ys[i] > ys[i - 1] and ys[i] > ys[i + 1]:
-            loc = golden_section_max(curve, xs[i - 1], xs[i + 1], refine_tol)
-            val = curve(loc)
+            loc = golden_section_max(at, xs[i - 1], xs[i + 1], refine_tol)
+            val = at(loc)
             reports.append(
                 ResonanceReport(kind, loc, val, Source.NUMERIC, _label_for(val))
             )

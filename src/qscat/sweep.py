@@ -9,6 +9,7 @@ aborting the sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -18,8 +19,7 @@ from .bound import bound_for_potential
 from .core import NATURAL_UNITS, MethodResult, PhysicsContext
 from .errors import InvalidInputError, QscatError
 from .potentials import PotentialSpec
-from .specfun import DEFAULT_SERIES, SeriesControl
-from .wkb import DEFAULT_QUADRATURE, QuadratureControl, wkb_for_potential
+from .wkb import wkb_for_potential
 
 METHOD_ORDER = ("exact", "wkb", "bound")
 
@@ -40,9 +40,14 @@ def _point(to_point, x) -> tuple:
         return None, exc
 
 
-def _evaluate_pairs(pairs, methods, ctx, series, quadrature) -> list[tuple[dict, float | None]]:
+def _finite(x: float | None) -> bool:
+    return x is None or math.isfinite(x)
+
+
+def _evaluate_pairs(pairs, methods, ctx) -> list[tuple[dict, float | None]]:
     """evaluate_methods at each (potential, energy) pair, or (None, exc): exc for every
-    method.  Each distinct potential makes one exact call for all of its energies."""
+    method.  Each distinct potential makes one exact call for all of its energies.
+    A result whose T, R or defect is not finite becomes ``invalid``."""
     exact = {}
     if "exact" in methods:
         groups: dict = {}
@@ -50,7 +55,7 @@ def _evaluate_pairs(pairs, methods, ctx, series, quadrature) -> list[tuple[dict,
             if p is not None:
                 groups.setdefault(p, []).append(i)
         for p, points in groups.items():
-            exact.update(zip(points, p.exact([pairs[i][1] for i in points], ctx, series)))
+            exact.update(zip(points, p.exact([pairs[i][1] for i in points], ctx)))
     out = []
     for i, (p, energy) in enumerate(pairs):
         results: dict[str, MethodResult] = {}
@@ -65,9 +70,12 @@ def _evaluate_pairs(pairs, methods, ctx, series, quadrature) -> list[tuple[dict,
                     if isinstance(result, QscatError):
                         raise result
                 elif method == "wkb":
-                    result = MethodResult("wkb", wkb_for_potential(p, energy, ctx, quadrature))
+                    result = MethodResult("wkb", wkb_for_potential(p, energy, ctx))
                 else:
                     result = MethodResult("bound", bound_for_potential(p, energy, ctx).lower_bound)
+                if not (_finite(result.transmission) and _finite(result.reflection)
+                        and _finite(result.defect)):
+                    raise InvalidInputError(f"the {method} result is not finite")
                 results[method] = result
             except (QscatError, ArithmeticError) as exc:
                 # an ArithmeticError is an input whose intermediates leave double range
@@ -84,8 +92,6 @@ def evaluate_methods(
     energy: float,
     methods: frozenset[str],
     ctx: PhysicsContext = NATURAL_UNITS,
-    series: SeriesControl = DEFAULT_SERIES,
-    quadrature: QuadratureControl = DEFAULT_QUADRATURE,
 ) -> tuple[dict[str, MethodResult], float | None]:
     """All requested methods at one (potential, energy) point.
 
@@ -93,7 +99,7 @@ def evaluate_methods(
     affected method's result; returns (results by method, exact-minus-bound gap or None).
     """
     pair = _point(p.sweep_map("E", ctx, {}), energy)
-    return _evaluate_pairs([pair], methods, ctx, series, quadrature)[0]
+    return _evaluate_pairs([pair], methods, ctx)[0]
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,6 @@ class SweepSpec:
     ctx: PhysicsContext = NATURAL_UNITS
     fixed: Mapping[str, float] = field(default_factory=dict)
     log_spaced: bool = False
-    series: SeriesControl = DEFAULT_SERIES
-    quadrature: QuadratureControl = DEFAULT_QUADRATURE
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -130,24 +134,21 @@ class SweepSpec:
         return np.linspace(self.lo, self.hi, self.points)
 
 
-def _sweep_rows(spec: SweepSpec, xs: list[float]) -> list[SweepRow]:
+def sweep_rows(spec: SweepSpec, xs: list[float]) -> list[SweepRow]:
+    """All requested methods at each value in xs of the spec's variable, as one batch
+    (the Hulthen 2F1 series of all points run in lockstep); the spec's own grid is
+    not used.  Row i depends on xs[i] alone.  A point with no (potential, energy),
+    such as the rectangular E = v0 where both exact formulas are singular, gets
+    gap_marker and its error everywhere."""
     to_point = spec.potential.sweep_map(spec.variable, spec.ctx, spec.fixed)
     pairs = [_point(to_point, x) for x in xs]
-    evaluated = _evaluate_pairs(pairs, spec.methods, spec.ctx, spec.series, spec.quadrature)
+    evaluated = _evaluate_pairs(pairs, spec.methods, spec.ctx)
     return [
         SweepRow(x, results, bound_gap=gap, gap_marker=p is None)
         for x, (p, _), (results, gap) in zip(xs, pairs, evaluated)
     ]
 
 
-def sweep_point(spec: SweepSpec, x: float) -> SweepRow:
-    """Evaluate all requested methods at one grid value (pure, order-free)."""
-    return _sweep_rows(spec, [x])[0]
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the full grid in ascending variable order, as one batch (the
-    Hulthen 2F1 series of all points run in lockstep); row i is sweep_point.
-    A point with no (potential, energy), such as the rectangular E = v0 where
-    both exact formulas are singular, gets gap_marker and its error everywhere."""
-    return _sweep_rows(spec, [float(x) for x in spec.grid()])
+    """sweep_rows over the full grid, in ascending variable order."""
+    return sweep_rows(spec, [float(x) for x in spec.grid()])

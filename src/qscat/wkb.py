@@ -235,26 +235,18 @@ def find_turning_points(
     first = above.index(True)
     last = len(above) - 1 - above[::-1].index(True)
 
-    def bisect(x_lo: float, x_hi: float) -> float:
-        # sign convention: V(x_lo) - E < 0 <= V(x_hi) - E
-        while x_hi - x_lo > x_tol:
-            mid = 0.5 * (x_lo + x_hi)
+    def bisect(below: float, above: float) -> float:
+        # V(below) <= E < V(above), on either side of the root
+        while abs(above - below) > x_tol:
+            mid = 0.5 * (below + above)
             if potential(mid) > energy:
-                x_hi = mid
+                above = mid
             else:
-                x_lo = mid
-        return 0.5 * (x_lo + x_hi)
+                below = mid
+        return 0.5 * (below + above)
 
     x1 = bisect(xs[first - 1], xs[first])
-    # mirror the bracket for the falling edge
-    x_lo, x_hi = xs[last], xs[last + 1]
-    while x_hi - x_lo > x_tol:
-        mid = 0.5 * (x_lo + x_hi)
-        if potential(mid) > energy:
-            x_lo = mid
-        else:
-            x_hi = mid
-    x2 = 0.5 * (x_lo + x_hi)
+    x2 = bisect(xs[last + 1], xs[last])
     return BarrierRegion(x1, x2, RegionSource.SOLVED_TURNING_POINTS)
 
 
@@ -304,11 +296,7 @@ def eckart_turning_points(p, energy: float) -> BarrierRegion:
 
 
 def wkb_for_potential(
-    p,
-    energy: float,
-    ctx: PhysicsContext,
-    ctrl: QuadratureControl = DEFAULT_QUADRATURE,
-    solve_turning_points: bool = False,
+    p, energy: float, ctx: PhysicsContext, solve_turning_points: bool = False
 ) -> float:
     """WKB transmission of the potential family ``p`` over the region it chooses.
 
@@ -318,5 +306,5 @@ def wkb_for_potential(
     its closed-form turning points.  The Eckart profile always uses its
     closed-form turning points (no conventional fixed window).
     """
-    action = p.wkb_action(energy, ctrl, solve_turning_points)
+    action = p.wkb_action(energy, solve_turning_points)
     return math.exp(-2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar * action)

@@ -114,7 +114,9 @@ def test_criterion_2_rectangular_resonances():
         hi = 5.5 * math.pi / (2.0 * a)
         found = [
             r.location
-            for r in numeric_resonances(curve, (0.05, hi), grid_n=800, refine_tol=1e-9)
+            for r in numeric_resonances(
+                lambda qs: [curve(q) for q in qs], (0.05, hi), grid_n=800, refine_tol=1e-9
+            )
             if r.label == "resonance"
         ]
         expected = [n * math.pi / (2.0 * a) for n in range(1, 6)]

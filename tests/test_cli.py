@@ -1,16 +1,22 @@
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qscat import sweep
 from qscat.cli import format_number, main
+
+TESTS = Path(__file__).parent
 
 
 def run_cli(capsys, *argv):
@@ -316,6 +322,14 @@ ECKART_THIN = (
     "eval", "--potential", "eckart", "--v0", "1", "--a", "1e-20", "--energy", "1",
     "--method", "exact", "--method", "bound",
 )
+ECKART_NAN = (
+    "eval", "--potential", "eckart", "--v0", "4e+66", "--a", "2e-04", "--v-minus-inf", "8e-170",
+    "--v-plus-inf", "3e-128", "--energy", "1e+143", "--hbar", "5e-62", "--mass", "1e+250",
+)
+RECT_BOUND_NAN = (
+    "eval", "--potential", "rect", "--v0", "4e+158", "--a", "3e+132", "--energy", "3e-04",
+    "--hbar", "3e-130", "--mass", "2e+71", "--method", "bound",
+)
 
 # every float flag of each family; --energy, --hbar and --mass come on top
 FAMILY_FLAGS = {
@@ -344,6 +358,8 @@ def extreme_eval_argv(draw):
 @example(list(HULTHEN_WINDOW[:-2]))
 @example(list(ECKART_ACTION[:-2]))
 @example(list(ECKART_THIN[:-4]))
+@example(list(ECKART_NAN))
+@example(list(RECT_BOUND_NAN[:-2]))
 def test_extreme_inputs_give_numbers_or_err_cells(argv):
     """Any accepted input exits 0 with finite numbers or ERR:<code> cells (or 2 with one
     usage-error line), never a traceback or a warning, and the bound stays below T."""
@@ -359,7 +375,10 @@ def test_extreme_inputs_give_numbers_or_err_cells(argv):
     header, row = out.getvalue().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     for cell in cells.values():
-        assert cell.startswith("ERR:") or math.isfinite(float(cell)), cells
+        if cell.startswith("ERR:"):
+            assert cell != "ERR:nonfinite", cells  # a non-finite result is ERR:invalid
+        else:
+            assert math.isfinite(float(cell)), cells
     exact, bound = cells["exact_T"], cells["bound_T"]
     if not (exact.startswith("ERR:") or bound.startswith("ERR:")):
         assert float(bound) <= float(exact) * (1.0 + 1e-9), cells
@@ -403,6 +422,8 @@ class TestOverflowCells:
             (ECKART_TURNING_POINT, [True]),  # E/v0 underflows at a turning point
             (HULTHEN_WINDOW, [True]),  # V(+-1) underflows to 0 < E
             (ECKART_ACTION, [True]),  # the action leaves double range
+            (ECKART_NAN, [True]),  # inf - inf in the log-space shape of T
+            (RECT_BOUND_NAN, [True]),  # inf / inf in the sech^2 exponent
             (
                 ("sweep", "--potential", "rect", "--v0", "1", "--a", "1e160", "--var", "E",
                  "--lo", "2", "--hi", "1e300", "--points", "3"),
@@ -412,7 +433,7 @@ class TestOverflowCells:
         ids=["hulthen-E1e300", "hulthen-E1e154", "hulthen-v0", "delta-k", "eckart-a",
              "hulthen-bound-hbar", "hulthen-partly-finite", "rect-phase-above",
              "rect-phase-below", "eckart-turning-point", "hulthen-window", "eckart-action",
-             "rect-phase-partly-finite"],
+             "eckart-nan", "rect-bound-nan", "rect-phase-partly-finite"],
     )
     def test_overflow_is_invalid_cell(self, capsys, argv, invalid_rows):
         code, out, err = run_cli(capsys, *argv)
@@ -494,7 +515,35 @@ class TestResonancesCommand:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err == "error: exact evaluation failed at k=1e+200: ERR:invalid\n"
+
+    @pytest.mark.parametrize(
+        "run",
+        json.loads((TESTS / "numeric_scan_golden.json").read_text()),
+        ids=["hulthen-T", "hulthen-R", "rect-q", "eckart-V0"],
+    )
+    def test_numeric_scan_output_pinned(self, capsys, run):
+        # stdout of each scan as generated before the grid ran as one sweep batch
+        code, out, err = run_cli(capsys, *run["argv"].split())
+        assert (code, err) == (0, "")
+        assert out == run["stdout"]
+
+    def test_numeric_scan_grid_is_one_batch(self, capsys, monkeypatch):
+        sizes = []
+        evaluate_pairs = sweep._evaluate_pairs
+
+        def recording(pairs, *args):
+            sizes.append(len(pairs))
+            return evaluate_pairs(pairs, *args)
+
+        monkeypatch.setattr(sweep, "_evaluate_pairs", recording)
+        code, _, _ = run_cli(
+            capsys, "resonances", *HULTHEN, "--var", "E", "--numeric", "--lo", "1.09", "--hi", "10",
+            "--grid-n", "256",
+        )
+        assert code == 0
+        assert sizes[0] == 256
+        assert set(sizes[1:]) == {1}  # the golden-section refinement stays pointwise
 
     def test_numeric_mode(self, capsys):
         code, out, _ = run_cli(
@@ -547,6 +596,19 @@ class TestFigure:
         code, _, err = run_cli(capsys, "figure", "nope", "--out", str(tmp_path))
         assert code == 2
         assert "fig11" in err
+
+
+def test_readme_cli_commands_run(capsys, monkeypatch, tmp_path):
+    """Every qscat command of the README's CLI block exits 0 without stderr."""
+    readme = (TESTS.parent / "README.md").read_text()
+    block = re.search(r"^## CLI$.*?^```bash$(.*?)^```$", readme, re.S | re.M).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("qscat ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)  # the sweep writes its --out file here
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 class TestEntryPoint:

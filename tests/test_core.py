@@ -16,7 +16,7 @@ from qscat.errors import InvalidInputError
 
 
 def _amps(t, r):
-    return ScatteringAmplitudes(t=t, r=r, k_in=1.0, k_out=1.0)
+    return ScatteringAmplitudes(t=t, r=r)
 
 
 def test_free_propagation():

@@ -23,6 +23,11 @@ from qscat.resonance import Kind, Source, golden_section_max
 HULTHEN_RESONANCE_E = 2.534742829508449
 
 
+def _listwise(f):
+    """numeric_resonances' curve (a list of values to a list) from a scalar function."""
+    return lambda xs: [f(x) for x in xs]
+
+
 def _rect_t_curve(a, ctx):
     def curve(q):
         energy = 1.0 + 0.5 * q**2
@@ -123,7 +128,7 @@ class TestAnalytic:
 class TestNumeric:
     def test_recovers_rectangular_locations(self, ctx):
         reports = numeric_resonances(
-            _rect_t_curve(1.0, ctx), (0.1, 5.0), grid_n=400, refine_tol=1e-8
+            _listwise(_rect_t_curve(1.0, ctx)), (0.1, 5.0), grid_n=400, refine_tol=1e-8
         )
         resonant = [r for r in reports if r.label == "resonance"]
         expected = [math.pi / 2, math.pi, 3 * math.pi / 2]
@@ -136,7 +141,7 @@ class TestNumeric:
         refine_tol = 1e-8
         listing = analytic_resonances(Rectangular(v0=1.0, a=1.0), "q", 3, ctx)
         reports = numeric_resonances(
-            _rect_t_curve(1.0, ctx), (0.1, 5.0), grid_n=400, refine_tol=refine_tol
+            _listwise(_rect_t_curve(1.0, ctx)), (0.1, 5.0), grid_n=400, refine_tol=refine_tol
         )
         for analytic, numeric in zip(listing.reports, reports):
             assert abs(analytic.location - numeric.location) < 10 * refine_tol
@@ -146,7 +151,7 @@ class TestNumeric:
             assert _rect_t_curve(1.0, ctx)(report.location) >= 1.0 - 1e-9
 
     def test_constant_curve_has_no_peaks(self):
-        assert numeric_resonances(lambda x: 0.5, (0.0, 1.0), grid_n=64) == []
+        assert numeric_resonances(lambda xs: [0.5] * len(xs), (0.0, 1.0), grid_n=64) == []
 
     def test_hulthen_reference_curve(self):
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
@@ -156,7 +161,7 @@ class TestNumeric:
                 hulthen_amplitudes(h, energy)
             ).transmission
 
-        reports = numeric_resonances(curve, (1.09, 10.0), grid_n=256, refine_tol=1e-8)
+        reports = numeric_resonances(_listwise(curve), (1.09, 10.0), grid_n=256, refine_tol=1e-8)
         assert len(reports) >= 1
         first = reports[0]
         assert first.label == "resonance"
@@ -164,7 +169,7 @@ class TestNumeric:
         assert abs(first.location - HULTHEN_RESONANCE_E) < 1e-6
 
     def test_deterministic(self, ctx):
-        args = (_rect_t_curve(1.0, ctx), (0.1, 5.0), 128, 1e-8)
+        args = (_listwise(_rect_t_curve(1.0, ctx)), (0.1, 5.0), 128, 1e-8)
         first = numeric_resonances(*args)
         second = numeric_resonances(*args)
         assert [(r.location, r.value) for r in first] == [
@@ -173,9 +178,9 @@ class TestNumeric:
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
-            numeric_resonances(lambda x: x, (0.0, 1.0), grid_n=8)
+            numeric_resonances(lambda xs: xs, (0.0, 1.0), grid_n=8)
         with pytest.raises(InvalidInputError):
-            numeric_resonances(lambda x: x, (1.0, 0.0))
+            numeric_resonances(lambda xs: xs, (1.0, 0.0))
 
 
 class TestGoldenSection:

@@ -10,8 +10,15 @@ from qscat import (
     SweepSpec,
     run_sweep,
 )
+from qscat import specfun
 from qscat.errors import InvalidInputError
-from qscat.sweep import sweep_point
+from qscat.sweep import sweep_rows
+
+
+def _point_by_point(spec):
+    """The rows of spec's grid, each from its own one-value batch, evaluated from the
+    top of the grid down and returned in grid order."""
+    return [sweep_rows(spec, [float(x)])[0] for x in spec.grid()[::-1]][::-1]
 
 EXACT = frozenset({"exact"})
 
@@ -70,26 +77,23 @@ class TestPurityAndDeterminism:
             Rectangular(v0=1.0, a=1.0), "q", lo=0.1, hi=5.0, points=20, methods=EXACT
         )
         rows = run_sweep(spec)
-        reversed_rows = [sweep_point(spec, float(x)) for x in spec.grid()[::-1]][::-1]
-        assert rows == reversed_rows
+        assert rows == _point_by_point(spec)
 
     def test_hulthen_batch_equals_single_points(self):
         # run_sweep sums the 2F1 series of all 100 points in lockstep; each row
         # must still be exactly what the point gives on its own
         spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=10.0, points=100)
         rows = run_sweep(spec)
-        assert rows == [sweep_point(spec, float(x)) for x in spec.grid()[::-1]][::-1]
+        assert rows == _point_by_point(spec)
         assert all(r.results["exact"].error is None for r in rows)
 
-    def test_hulthen_noconv_points_independent_of_batch(self):
+    def test_hulthen_noconv_points_independent_of_batch(self, monkeypatch):
         # 340 terms are too few for the longest series of some points: those
         # points, and only those, give noconv whether batched or alone
-        spec = SweepSpec(
-            Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=10.0, points=100,
-            series=SeriesControl(max_terms=340),
-        )
+        monkeypatch.setattr(specfun, "DEFAULT_SERIES", SeriesControl(max_terms=340))
+        spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=10.0, points=100)
         rows = run_sweep(spec)
-        assert rows == [sweep_point(spec, float(x)) for x in spec.grid()[::-1]][::-1]
+        assert rows == _point_by_point(spec)
         errors = [r.results["exact"].error for r in rows]
         assert errors.count("noconv") == 6
         assert errors.count(None) == 94

@@ -30,6 +30,7 @@ from qscat.errors import (
     UnsupportedOperationError,
     WrongCaseError,
 )
+from qscat import wkb
 from qscat.wkb import (
     DEFAULT_QUADRATURE,
     RegionSource,
@@ -153,24 +154,29 @@ class TestFamilyTurningPoints:
         with pytest.raises(InvalidInputError):
             wkb_for_potential(h, energy, ctx)
 
-    def test_nonconvergence_reports_estimate(self, ctx):
-        # the estimate is that of the whole action, in every path that integrates
-        ctrl = QuadratureControl(abs_tol=1e-300, max_depth=1)
+    def test_nonconvergence_reports_estimate(self, ctx, monkeypatch):
+        # the estimate is that of the whole action, in every path that integrates;
+        # each case runs on the module's DEFAULT_QUADRATURE, read when it is called
         h, e = Hulthen(v0=1.0, a=0.5, q=0.9), self.ASYMMETRIC
         edge = hulthen_turning_point(h, 1.0)
         solved = BarrierRegion(-edge, edge, RegionSource.SOLVED_TURNING_POINTS)
         cases = [
-            lambda c: wkb_for_potential(h, 1.0, ctx, c),
-            lambda c: wkb_for_potential(h, 1.0, ctx, c, solve_turning_points=True),
-            lambda c: wkb_for_potential(e, 1.0, ctx, c),
-            lambda c: wkb_transmission(lambda x: evaluate(h, x), 1.0, fixed_limits(-1.0, 1.0), ctx, c),
-            lambda c: wkb_transmission(lambda x: evaluate(h, x), 1.0, solved, ctx, c),
+            lambda: wkb_for_potential(h, 1.0, ctx),
+            lambda: wkb_for_potential(h, 1.0, ctx, solve_turning_points=True),
+            lambda: wkb_for_potential(e, 1.0, ctx),
+            lambda: wkb_transmission(
+                lambda x: evaluate(h, x), 1.0, fixed_limits(-1.0, 1.0), ctx, wkb.DEFAULT_QUADRATURE
+            ),
+            lambda: wkb_transmission(
+                lambda x: evaluate(h, x), 1.0, solved, ctx, wkb.DEFAULT_QUADRATURE
+            ),
         ]
         for run in cases:
-            with pytest.raises(ConvergenceError) as exc_info:
-                run(ctrl)
+            with monkeypatch.context() as m, pytest.raises(ConvergenceError) as exc_info:
+                m.setattr(wkb, "DEFAULT_QUADRATURE", QuadratureControl(abs_tol=1e-300, max_depth=1))
+                run()
             from_estimate = math.exp(-2.0 * math.sqrt(2.0) * exc_info.value.estimate)
-            assert from_estimate == pytest.approx(run(DEFAULT_QUADRATURE), rel=1e-9)
+            assert from_estimate == pytest.approx(run(), rel=1e-9)
 
 
 class TestGenericRegion:
