@@ -14,11 +14,26 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import PhysicsContext, ScatteringAmplitudes
 from .errors import InvalidInputError, QscatError, WrongCaseError
-from .specfun import DEFAULT_SERIES, SeriesControl, _convergence_error, _hyp2f1_series
+from .specfun import (
+    DEFAULT_SERIES,
+    SeriesControl,
+    _convergence_error,
+    _hyp2f1_series,
+    log_gamma,
+)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+# where a Hulthen point takes the connection route; see _connection_route
+_CONNECTION_MIN_Q = 0.8
+_CONNECTION_MAX_X = 5.0
+_CONNECTION_MAX_NU_PER_LAM = 1e4
+# points per kernel and log_gamma call, bounding the memory of a long sweep
+_BATCH_POINTS = 256
 
 
 def asymptotic_wavenumbers(p, energy: float, ctx: PhysicsContext) -> tuple[float, float]:
@@ -275,45 +290,104 @@ def _hulthen_assemble(par: HulthenParams, f1, f2, f3, f4, f5, f6) -> ScatteringA
     return ScatteringAmplitudes(t=t, r=r)
 
 
+def _factor_rows(par: HulthenParams) -> list[tuple[complex, complex, complex]]:
+    # (a, b, c) of the 2F1(a, b; c; q) factors f1..f6
+    mu, nu, lam = par.mu, par.nu, par.lam
+    return [
+        (1 + lam - mu - nu, 1 + lam - mu + nu, 2 - 2 * mu),
+        (lam + mu - nu, lam + mu + nu, 1 + 2 * mu),
+        (1 + lam + mu - nu, 1 + lam + mu + nu, 2 + 2 * mu),
+        (lam - mu - nu, lam - mu + nu, 1 - 2 * mu),
+        (1 - lam - mu - nu, 1 - lam - mu + nu, 2 - 2 * mu),
+        (-lam - mu - nu, -lam - mu + nu, 1 - 2 * mu),
+    ]
+
+
+def _connection_route(par: HulthenParams) -> bool:
+    """Whether the factors of this point go through the z -> 1 - z connection.
+
+    The direct series in q needs ~35/(-ln q) terms, the two connection series in
+    1 - q ~35/(-ln(1 - q)) plus a few per unit of (1 - q)|nu|, and the Gamma
+    ratios cost about as much again: on 100-energy grids the connection is
+    faster from q = 0.8 on, slower below 0.75.  |nu| bounds every parameter,
+    since |lam|, |mu| < |nu|.  Against the 40-digit oracle, a connection factor
+    is off by <= 4e-12 for (1 - q)|nu| <= 4, 1e-11 at 5 and 1e-10 at 6
+    (cancellation inside its series), and by ~20 eps |nu|/min(1, |lam|) from
+    log_gamma, whose error the two terms amplify as c - a - b = +-2 lam +
+    integer nears an integer; the bounds keep a factor within ~1e-10.
+    """
+    nu = abs(par.nu)
+    return (par.q >= _CONNECTION_MIN_Q and (1.0 - par.q) * nu <= _CONNECTION_MAX_X
+            and nu <= _CONNECTION_MAX_NU_PER_LAM * min(1.0, abs(par.lam)))
+
+
+def _direct_factors(rows, q: float, ctrl: SeriesControl):
+    """(value, converged, last_term_mag) of each 2F1(a, b; c; q), by its power series."""
+    return [(v, ok, last) for v, _, ok, last in _hyp2f1_series(rows, q, ctrl.rel_tol, ctrl.max_terms)]
+
+
+def _connection_factors(rows, q: float, ctrl: SeriesControl):
+    """(value, converged, last_term_mag) of each 2F1(a, b; c; q), by DLMF 15.8.4.
+
+    F(a, b; c; q) = G1 F(a, b; s' ; 1 - q) + (1 - q)^s G2 F(c - a, c - b; s + 1; 1 - q)
+    with s = c - a - b, s' = 1 - s, G1 = Gamma(c) Gamma(s) / (Gamma(c - a) Gamma(c - b))
+    and G2 = Gamma(c) Gamma(-s) / (Gamma(a) Gamma(b)).  For the Hulthen rows
+    s = +-2 lam + integer is never an integer, and a Gamma pole in a
+    denominator (a parameter rounded onto one) gives its term the limit 0.
+    """
+    a, b, c = np.array(rows, dtype=np.complex128).T
+    s = c - a - b
+    pairs = np.concatenate([np.stack([a, b, 1.0 - s], 1), np.stack([c - a, c - b, 1.0 + s], 1)])
+    series = _hyp2f1_series(pairs, 1.0 - q, ctrl.rel_tol, ctrl.max_terms)
+    u1, u2 = np.array([v for v, _, _, _ in series]).reshape(2, -1)
+    lg_c, lg_s, lg_ms, lg_ca, lg_cb, lg_a, lg_b = log_gamma(np.stack([c, s, -s, c - a, c - b, a, b]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (np.exp(lg_c + lg_s - lg_ca - lg_cb) * u1
+                  + np.exp(lg_c + lg_ms - lg_a - lg_b + s * math.log1p(-q)) * u2)
+    n = len(rows)
+    return [(v, first[2] and second[2], max(first[3], second[3]))
+            for v, first, second in zip(values.tolist(), series[:n], series[n:])]
+
+
 def hulthen_amplitudes_grid(
     p, energies, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES
 ) -> list[ScatteringAmplitudes | QscatError]:
     """Hulthen amplitudes at each energy, or the error that energy raises.
 
-    The six 2F1 factors of all energies share one lockstep kernel call, which
-    gives each factor the result of its own series: no point depends on the
-    others.  A series that fails to converge gives its point gauss_2f1's
-    ConvergenceError, an overflow of double range an InvalidInputError.
+    Each point takes its six 2F1 factors by one route, chosen from its own
+    (q, lam, nu) by _connection_route: the direct series in q, or two series in
+    1 - q joined by the connection formula.  The series of up to
+    _BATCH_POINTS points of a route share one lockstep kernel call, which
+    gives each series its own result, and their Gamma ratios one array
+    log_gamma call: no point depends on the others.  A series that fails to
+    converge gives its point gauss_2f1's ConvergenceError, an overflow of
+    double range an InvalidInputError.
     """
-    out, rows = [], []
+    out, direct, connection = [], [], []
     for energy in energies:
         try:
             out.append(par := hulthen_params(p, energy, mass))
         except (QscatError, ArithmeticError) as exc:
             out.append(exc)
             continue
-        mu, nu, lam = par.mu, par.nu, par.lam
-        rows += [
-            (1 + lam - mu - nu, 1 + lam - mu + nu, 2 - 2 * mu),
-            (lam + mu - nu, lam + mu + nu, 1 + 2 * mu),
-            (1 + lam + mu - nu, 1 + lam + mu + nu, 2 + 2 * mu),
-            (lam - mu - nu, lam - mu + nu, 1 - 2 * mu),
-            (1 - lam - mu - nu, 1 - lam - mu + nu, 2 - 2 * mu),
-            (-lam - mu - nu, -lam - mu + nu, 1 - 2 * mu),
-        ]
-    series = iter(_hyp2f1_series(rows, p.q, ctrl.rel_tol, ctrl.max_terms))
-    for i, par in enumerate(out):
-        if isinstance(par, HulthenParams):
-            factors = [next(series) for _ in range(6)]
-            try:
-                for value, _, converged, last in factors:
-                    if not converged:
-                        raise _convergence_error(value, last, p.q, ctrl)
-                out[i] = _hulthen_assemble(par, *(f[0] for f in factors))
-            except (QscatError, ArithmeticError) as exc:
-                out[i] = exc
-        if isinstance(out[i], ArithmeticError):
-            out[i] = InvalidInputError(f"energy {energies[i]!r} overflows double range: {out[i]}")
+        (connection if _connection_route(par) else direct).append(len(out) - 1)
+    routes = ((direct, _direct_factors, p.q), (connection, _connection_factors, 1.0 - p.q))
+    for points, route, z in routes:
+        for j in range(0, len(points), _BATCH_POINTS):
+            batch = points[j : j + _BATCH_POINTS]
+            values = route([row for i in batch for row in _factor_rows(out[i])], p.q, ctrl)
+            for k, i in enumerate(batch):
+                factors = values[6 * k : 6 * k + 6]
+                try:
+                    for value, converged, last in factors:
+                        if not converged:
+                            raise _convergence_error(value, last, z, ctrl)
+                    out[i] = _hulthen_assemble(out[i], *(f[0] for f in factors))
+                except (QscatError, ArithmeticError) as exc:
+                    out[i] = exc
+    for i, res in enumerate(out):
+        if isinstance(res, ArithmeticError):
+            out[i] = InvalidInputError(f"energy {energies[i]!r} overflows double range: {res}")
     return out
 
 

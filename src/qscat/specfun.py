@@ -1,10 +1,12 @@
 """Complex special functions: principal-branch log-gamma and Gauss 2F1.
 
 Only what the exact Eckart and Hulthen solutions need: log Gamma(z) for
-complex z, and 2F1(a, b; c; z) with complex parameters and a real argument
-in [0, 1).  The 2F1 power series dominates the runtime of the Hulthen sweeps
-(hundreds of terms per series, six series per point); all series of a batch
-are summed in lockstep, in numpy blocks of terms.
+complex z (a scalar or a numpy array), and 2F1(a, b; c; z) with complex
+parameters and a real argument in [0, 1).  The 2F1 power series dominates the
+runtime of the Hulthen sweeps (six factors per point, each one series in q or
+two in 1 - q, mostly tens of terms, thousands only where the direct series in
+q near 1 is kept); all series of a batch are summed in lockstep, in numpy
+blocks of terms that start short and grow.
 """
 
 from __future__ import annotations
@@ -33,11 +35,14 @@ _LANCZOS_COEFFS = (
 )
 
 # the 2F1 series stops after this many consecutive terms below rel_tol times
-# the partial sum, and sums this many terms per numpy block; at most
-# _MAX_ROWS series (four Hulthen energies) share a block, bounding its memory
+# the partial sum; each numpy block sums as many terms as the blocks before it,
+# from _FIRST_BLOCK up to _BLOCK, so a short series pays for a short block; a
+# pass holds at most _MAX_ELEMENTS terms (its rows times the block), bounding
+# its memory
 _CONSECUTIVE_SMALL = 3
+_FIRST_BLOCK = 32
 _BLOCK = 256
-_MAX_ROWS = 24
+_MAX_ELEMENTS = 24 * 256
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
@@ -64,32 +69,37 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
-def _lanczos_loggamma(z: complex) -> complex:
-    # valid on Re z >= 0.5
+def _lanczos_loggamma(z, log=cmath.log):
+    # valid on Re z >= 0.5; z a complex or a numpy array (with log=np.log)
     w = z - 1.0
     x = _LANCZOS_COEFFS[0]
     for i in range(1, len(_LANCZOS_COEFFS)):
         x += _LANCZOS_COEFFS[i] / (w + i)
     t = w + _LANCZOS_G + 0.5
-    return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
+    return _LOG_SQRT_TWO_PI + (w + 0.5) * log(t) - t + log(x)
 
 
-def _log_sin_pi_upper(z: complex) -> complex:
+def _log_sin_pi_upper(z, exp=cmath.exp, log=cmath.log):
     # analytic continuation of log sin(pi z) over Im z >= 0, anchored at z = 1/2;
     # writing sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}) keeps |e^{2 i pi z}| <= 1
     # there, so the principal log of the bracket never crosses a branch cut
-    w = cmath.exp(2j * math.pi * z)
-    return math.log(0.5) + 0.5j * math.pi - 1j * math.pi * z + cmath.log(1.0 - w)
+    w = exp(2j * math.pi * z)
+    return math.log(0.5) + 0.5j * math.pi - 1j * math.pi * z + log(1.0 - w)
 
 
-def log_gamma(z) -> complex:
-    """Principal branch of log Gamma(z).
+def log_gamma(z):
+    """Principal branch of log Gamma(z), for a complex z or elementwise on an array.
 
     Lanczos approximation on Re z >= 0.5; the reflection formula (with an
     unwound log-sin) continues it to the left half-plane.  On the cut
     (negative real axis) the value is the limit from the upper half-plane.
-    Relative accuracy is ~1e-13 for |z| <= 100.
+    Relative accuracy is ~1e-13 for |z| <= 100.  A scalar at a pole raises
+    PoleError; an array holds +inf there (1/Gamma = 0).  Array elements take
+    numpy's complex arithmetic, so they may differ from the scalar value in
+    the last bits.
     """
+    if isinstance(z, np.ndarray):
+        return _log_gamma_array(np.asarray(z, dtype=np.complex128))
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InvalidInputError(f"log_gamma argument must be finite, got {z!r}")
@@ -102,56 +112,78 @@ def log_gamma(z) -> complex:
     return log_gamma(z.conjugate()).conjugate()
 
 
+def _log_gamma_array(z: np.ndarray) -> np.ndarray:
+    # the scalar branches as masks: Lanczos right of Re z = 1/2, reflection in
+    # the upper half-plane left of it, conjugation below
+    if not np.isfinite(z).all():
+        raise InvalidInputError("log_gamma arguments must be finite")
+    left = z.real < 0.5
+    lower = left & (z.imag < 0.0)
+    up = np.where(lower, z.conj(), z)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at a pole
+        out = _lanczos_loggamma(np.where(left, 1.0 - up, up), np.log)
+        log_sin = _log_sin_pi_upper(np.where(left, up, 0.5), np.exp, np.log)
+        out = np.where(left, _LOG_PI - log_sin - out, out)
+    out = np.where(lower, out.conj(), out)
+    out[(z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))] = np.inf
+    return out
+
+
 def gamma(z) -> complex:
     """exp(log_gamma(z)); convenience for amplitude formulas."""
     return cmath.exp(log_gamma(z))
 
 
 def _hyp2f1_series(rows, z, rel_tol, max_terms):
-    """Raw Gauss series sums: (value, terms_used, converged, last_term_mag) per row (a, b, c).
+    """Raw Gauss series sums: (value, terms_used, converged, last_term_mag) per row (a, b, c);
+    ``rows`` is a list of such triples or an (n, 3) array.
 
     Term ratio t_{n+1}/t_n = (a+n)(b+n) z / ((c+n)(n+1)), for a block of n at
     a time; cumulative products and sums along the term axis give the terms
     and partial sums, and the first index that ends a run of
     _CONSECUTIVE_SMALL small terms (counting the run carried in from the
-    previous block) stops the row.  Up to _MAX_ROWS rows run in lockstep; a
-    row leaves the active set when it stops, so it gets exactly the result
-    of its series run alone.  Overflowing or NaN terms are never small.
+    previous block) stops the row.  All rows run in lockstep, in passes of at
+    most _MAX_ELEMENTS terms; a row leaves the active set when it stops, and
+    the block boundaries depend on the term index alone, so a row gets exactly
+    the result of its series run alone.  Overflowing or NaN terms are never
+    small.
     """
-    if not rows or len(rows) > _MAX_ROWS:
-        return [out for i in range(0, len(rows), _MAX_ROWS)
-                for out in _hyp2f1_series(rows[i : i + _MAX_ROWS], z, rel_tol, max_terms)]
-    a, b, c = np.array(rows, dtype=np.complex128).T[:, :, None]
-    out = [None] * a.shape[0]
-    active = np.arange(a.shape[0])  # row index of each active row
-    s = term = 1.0 + 0.0j
-    carry = n0 = 0
+    out = [None] * len(rows)
+    if not out:
+        return out
+    a, b, c = np.asarray(rows, dtype=np.complex128).T[:, :, None]
+    term = np.ones_like(a)
+    s = np.ones_like(a)
+    carry = np.zeros(a.shape, dtype=np.int64)
+    active = np.arange(len(rows))  # rows still summing
+    n0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while n0 < max_terms:
-            ns = np.arange(n0, min(n0 + _BLOCK, max_terms), dtype=np.float64)
-            ratios = (a + ns) * (b + ns) * z / ((c + ns) * (ns + 1.0))
-            terms = term * np.cumprod(ratios, axis=1)
-            sums = s + np.cumsum(terms, axis=1)
-            flags = (mags := np.abs(terms)) < rel_tol * np.abs(sums)
-            # small-term run ending at each index: distance to the last large term or to -1 - carry
+        while active.size and n0 < max_terms:
+            ns = np.arange(n0, min(n0 + min(max(n0, _FIRST_BLOCK), _BLOCK), max_terms),
+                           dtype=np.float64)
             idx = np.arange(ns.size)
-            runlen = idx - np.maximum.accumulate(np.where(flags, -1 - carry, idx), axis=1)
-            hits = runlen >= _CONSECUTIVE_SMALL
-            term, s, carry = terms[:, -1:], sums[:, -1:], runlen[:, -1:]
-            if hits.flat[hits.argmax()]:  # some row stops in this block
-                keep = []
-                for r, j in enumerate(hits.argmax(axis=1).tolist()):
-                    if hits[r, j]:
-                        out[active[r]] = (complex(sums[r, j]), n0 + j + 1, True, float(mags[r, j]))
-                    else:
-                        keep.append(r)
-                if not keep:
-                    return out
-                active, a, b, c, term, s, carry = (
-                    v[keep] for v in (active, a, b, c, term, s, carry))
+            step = _MAX_ELEMENTS // ns.size
+            running = []
+            for r in (active[i : i + step] for i in range(0, active.size, step)):
+                ratios = (a[r] + ns) * (b[r] + ns) * z / ((c[r] + ns) * (ns + 1.0))
+                terms = term[r] * np.cumprod(ratios, axis=1)
+                sums = s[r] + np.cumsum(terms, axis=1)
+                flags = (mags := np.abs(terms)) < rel_tol * np.abs(sums)
+                # small-term run ending at each index: distance to the last large term or to -1 - carry
+                runlen = idx - np.maximum.accumulate(np.where(flags, -1 - carry[r], idx), axis=1)
+                hits = runlen >= _CONSECUTIVE_SMALL
+                term[r], s[r], carry[r] = terms[:, -1:], sums[:, -1:], runlen[:, -1:]
+                first = hits.argmax(axis=1)
+                stop = hits[np.arange(r.size), first]
+                k, j = np.flatnonzero(stop), first[stop]
+                for row, value, n, mag in zip(r[k].tolist(), sums[k, j].tolist(),
+                                              (n0 + j + 1).tolist(), mags[k, j].tolist()):
+                    out[row] = (value, n, True, mag)
+                running.append(r[~stop])
+            active = np.concatenate(running)
             n0 += ns.size
-    for r, v, t in zip(active, s[:, 0].tolist(), term[:, 0].tolist()):
-        out[r] = (v, n0, False, abs(t))
+    for r in active.tolist():
+        out[r] = (complex(s[r, 0]), n0, False, abs(complex(term[r, 0])))
     return out
 
 

@@ -115,6 +115,8 @@ class SweepSpec:
     log_spaced: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lo, self.hi, self.hi - self.lo))):
+            raise InvalidInputError(f"need finite lo, hi and hi - lo, got ({self.lo!r}, {self.hi!r})")
         if not self.lo < self.hi:
             raise InvalidInputError(f"need lo < hi, got ({self.lo!r}, {self.hi!r})")
         if self.points < 2:

@@ -185,6 +185,16 @@ class TestSweep:
         assert len(lines) == 3  # header + 2 rows
         assert lines[0] == "var,exact_T,exact_R,exact_defect"
 
+    def test_infinite_bound_is_usage_error(self, capsys):
+        # np.linspace would fill the grid with NaN, with a RuntimeWarning
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--potential", "delta", "--alpha", "1", "--var", "k",
+            "--lo", "0", "--hi", "inf", "--points", "3",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: need finite lo, hi and hi - lo, got (0.0, inf)\n"
+
     def test_rerun_byte_identical(self, capsys, tmp_path):
         args = (
             "sweep", "--potential", "delta", "--alpha", "1",
@@ -384,6 +394,61 @@ def test_extreme_inputs_give_numbers_or_err_cells(argv):
         assert float(bound) <= float(exact) * (1.0 + 1e-9), cells
 
 
+FAMILY_VARIABLES = {"delta": ("k", "E"), "rect": ("q", "E"), "eckart": ("V0", "E"), "hulthen": ("E",)}
+INFINITE_BOUND = (
+    "sweep", "--potential", "delta", "--alpha", "1", "--var", "k", "--lo", "0", "--hi", "inf",
+    "--points", "3",
+)
+HULTHEN_NEAR_ONE = (
+    "sweep", "--potential", "hulthen", "--v0", "1", "--a", "0.5", "--q", "0.999", "--var", "E",
+    "--lo", "1.09", "--hi", "10", "--points", "5",
+)
+
+
+@st.composite
+def extreme_sweep_argv(draw):
+    family = draw(st.sampled_from(sorted(FAMILY_FLAGS)))
+    variable = draw(st.sampled_from(FAMILY_VARIABLES[family]))
+    argv = ["sweep", "--potential", family, "--var", variable]
+    for flag in (*FAMILY_FLAGS[family], "--hbar", "--mass"):
+        argv += [flag, repr(draw(LOG_UNIFORM))]
+    if variable == "V0":
+        argv += ["--energy", repr(draw(LOG_UNIFORM))]
+    lo, hi = sorted((draw(LOG_UNIFORM), draw(LOG_UNIFORM)))
+    argv += ["--lo", repr(lo), "--hi", repr(hi), "--points", str(draw(st.integers(2, 5)))]
+    return argv + (["--log-spaced"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(extreme_sweep_argv())
+@example(list(INFINITE_BOUND))
+@example(list(HULTHEN_NEAR_ONE))
+def test_extreme_sweeps_give_numbers_or_err_cells(argv):
+    """The sweep form of test_extreme_inputs_give_numbers_or_err_cells: every row
+    holds finite numbers or ERR:<code> cells, or the run is one usage-error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([*argv, "--methods", "exact,wkb,bound"])
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+        return
+    assert code == 0 and err.getvalue() == ""
+    header, *rows = out.getvalue().splitlines()
+    assert 2 <= len(rows) <= 5
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        for cell in cells.values():
+            if cell.startswith("ERR:"):
+                assert cell != "ERR:nonfinite", cells
+            else:
+                assert math.isfinite(float(cell)), cells
+        exact, bound = cells["exact_T"], cells["bound_T"]
+        if not (exact.startswith("ERR:") or bound.startswith("ERR:")):
+            assert float(bound) <= float(exact) * (1.0 + 1e-9), cells
+
+
 class TestOverflowCells:
     """Inputs whose intermediates leave double range give ERR:invalid cells on
     the points that overflow and numbers on the others, never a traceback."""
@@ -506,6 +571,16 @@ class TestResonancesCommand:
         assert code == 2
         assert "--numeric" in err
 
+    def test_numeric_infinite_bound_is_usage_error(self, capsys):
+        # the scan's grid would be NaN: the bound itself is the usage error
+        code, out, err = run_cli(
+            capsys,
+            "resonances", "--potential", "rect", "--v0", "1", "--a", "1", "--var", "q",
+            "--numeric", "--lo", "0.1", "--hi", "inf",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: need finite lo, hi and hi - lo, got (0.1, inf)\n"
+
     def test_numeric_scan_overflow_is_usage_error(self, capsys):
         # (hbar k)^2 overflows at the first grid point
         code, out, err = run_cli(
@@ -523,7 +598,7 @@ class TestResonancesCommand:
         ids=["hulthen-T", "hulthen-R", "rect-q", "eckart-V0"],
     )
     def test_numeric_scan_output_pinned(self, capsys, run):
-        # stdout of each scan as generated before the grid ran as one sweep batch
+        # stdout of each scan; the Hulthen scans take the connection route at q = 0.9
         code, out, err = run_cli(capsys, *run["argv"].split())
         assert (code, err) == (0, "")
         assert out == run["stdout"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ import pytest
 from oracles import mp_hulthen_probabilities
 from qscat import (
     Hulthen,
+    SweepSpec,
     hulthen_amplitudes,
     hulthen_params,
     probabilities_from_amplitudes,
+    run_sweep,
     unitarity_defect,
 )
-from qscat.errors import WrongCaseError
+from qscat.errors import ConvergenceError, WrongCaseError
+from qscat.exact import _connection_route
 
 FIG10A = Hulthen(v0=1.0, a=0.5, q=0.9)
 
@@ -94,3 +98,40 @@ class TestParams:
         par = hulthen_params(FIG10A, 2.0, 1.0)
         assert par.k == pytest.approx(math.sqrt(3.0), rel=1e-15)
         assert par.p > par.k
+
+
+class TestConnectionRoute:
+    """Points with q >= 0.8 and small (1 - q)|nu| take their 2F1 factors from the
+    z -> 1 - z connection formula, whose series are short at any q < 1."""
+
+    @pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("a", [0.5, 1.0])
+    def test_switched_points_match_oracle(self, q, a, rng):
+        p = Hulthen(v0=1.0, a=a, q=q)
+        for energy in rng.uniform(1.09, 10.0, 3):
+            energy = float(energy)
+            assert _connection_route(hulthen_params(p, energy, 1.0))
+            t_ref, r_ref = mp_hulthen_probabilities(energy, 1.0, 1.0, q, a)
+            probs = _probs(p, energy)
+            assert probs.transmission == pytest.approx(t_ref, rel=1e-9)
+            assert probs.reflection == pytest.approx(r_ref, rel=1e-9)
+
+    def test_sweep_near_q_one_gives_numbers(self):
+        # the direct series at q = 0.999 need more than the 20000-term cap
+        rows = run_sweep(SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.999), "E", 1.09, 10.0, 100))
+        for row in rows:
+            result = row.results["exact"]
+            assert result.error is None
+            assert result.defect < 1e-6
+
+    def test_large_energy_near_q_one_stays_noconv(self):
+        # (1 - q)|nu| ~ 20 puts E = 1e4 on the direct route, whose series at
+        # q = 0.999 exceed the cap: an error cell, and no warning on the way
+        p = Hulthen(v0=1.0, a=0.5, q=0.999)
+        assert not _connection_route(hulthen_params(p, 1e4, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_sweep(SweepSpec(p, "E", 1e4, 2e4, 2))
+            with pytest.raises(ConvergenceError):
+                hulthen_amplitudes(p, 1e4)
+        assert [row.results["exact"].error for row in rows] == ["noconv", "noconv"]

@@ -69,6 +69,25 @@ class TestLogGamma:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
             log_gamma(complex("inf"))
+        with pytest.raises(InvalidInputError):
+            log_gamma(np.array([1.0, np.nan]))
+
+    def test_array_matches_scalar_and_mpmath(self, rng):
+        # numpy's complex arithmetic may differ from cmath's in the last bits
+        zs = rng.uniform(-80.0, 80.0, 200) + 1j * rng.uniform(-80.0, 80.0, 200)
+        zs = np.concatenate([zs, 1j * rng.uniform(-300.0, 300.0, 20), [0.25, -2.5 - 0.3j, 99.5 + 3j]])
+        ours = log_gamma(zs)
+        assert ours.shape == zs.shape
+        for z, value in zip(zs.tolist(), ours.tolist()):
+            scalar = log_gamma(z)
+            assert abs(value - scalar) <= 1e-13 * max(1.0, abs(scalar)), z
+            assert abs(value - mp_loggamma(z)) <= 1e-12 * max(1.0, abs(scalar)), z
+
+    def test_array_poles_are_infinite(self):
+        # 1/Gamma vanishes there, which the Hulthen connection formula relies on
+        values = log_gamma(np.array([0.0, -3.0, 2.0, -3.0 + 1e-9j]))
+        assert values[0] == values[1] == np.inf
+        assert np.isfinite(values[2:]).all()
 
 
 class TestGauss2F1:

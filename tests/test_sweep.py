@@ -8,10 +8,12 @@ from qscat import (
     Rectangular,
     SeriesControl,
     SweepSpec,
+    hulthen_params,
     run_sweep,
 )
-from qscat import specfun
+from qscat import exact, specfun
 from qscat.errors import InvalidInputError
+from qscat.exact import _connection_route
 from qscat.sweep import sweep_rows
 
 
@@ -88,15 +90,28 @@ class TestPurityAndDeterminism:
         assert all(r.results["exact"].error is None for r in rows)
 
     def test_hulthen_noconv_points_independent_of_batch(self, monkeypatch):
-        # 340 terms are too few for the longest series of some points: those
-        # points, and only those, give noconv whether batched or alone
-        monkeypatch.setattr(specfun, "DEFAULT_SERIES", SeriesControl(max_terms=340))
-        spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=10.0, points=100)
+        # a mixed-route batch: up to E ~ 24, (1 - q)|nu| <= 5 and the points take
+        # the connection route, whose series need <= 40 terms; above, the direct
+        # series need ~350, and 350 terms are too few for the longest series of
+        # some points: those points, and only those, give noconv whether batched
+        # or alone
+        monkeypatch.setattr(specfun, "DEFAULT_SERIES", SeriesControl(max_terms=350))
+        spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=100.0, points=100)
+        routes = [_connection_route(hulthen_params(spec.potential, float(x), 1.0)) for x in spec.grid()]
+        assert routes == [True] * 23 + [False] * 77
         rows = run_sweep(spec)
         assert rows == _point_by_point(spec)
         errors = [r.results["exact"].error for r in rows]
-        assert errors.count("noconv") == 6
-        assert errors.count(None) == 94
+        assert errors[:23] == [None] * 23
+        assert errors.count("noconv") == 48
+        assert errors.count(None) == 52
+
+    def test_hulthen_rows_independent_of_points_per_call(self, monkeypatch):
+        # a long sweep splits each route into calls of _BATCH_POINTS points
+        spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=60.0, points=30)
+        rows = run_sweep(spec)
+        monkeypatch.setattr(exact, "_BATCH_POINTS", 4)
+        assert run_sweep(spec) == rows
 
 
 class TestCaseBoundary:
@@ -200,3 +215,11 @@ class TestValidation:
             SweepSpec(Delta(alpha=1.0), "k", lo=1.0, hi=1.0, points=5)
         with pytest.raises(InvalidInputError):
             SweepSpec(Delta(alpha=1.0), "k", lo=0.1, hi=1.0, points=1)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (-1e308, 1e308)]
+    )
+    def test_bounds_and_their_span_must_be_finite(self, lo, hi):
+        # an infinite bound or span would make every grid value NaN or infinite
+        with pytest.raises(InvalidInputError, match="finite"):
+            SweepSpec(Delta(alpha=1.0), "k", lo=lo, hi=hi, points=3)
