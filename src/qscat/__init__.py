@@ -26,12 +26,14 @@ from .exact import (
     HulthenParams,
     asymptotic_wavenumbers,
     delta_amplitudes,
+    delta_amplitudes_grid,
     eckart_reflection_paper,
     eckart_transmission,
     hulthen_amplitudes,
     hulthen_amplitudes_grid,
     hulthen_params,
     rectangular_above,
+    rectangular_amplitudes_grid,
     rectangular_below,
 )
 from .specfun import DEFAULT_SERIES, SeriesControl, gamma, gauss_2f1, log_gamma

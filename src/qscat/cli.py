@@ -32,25 +32,25 @@ _MIN_SIG_DIGITS = 12
 
 def format_number(x: float) -> str:
     """Shortest round-trip decimal, padded to at least 12 significant digits."""
-    x = float(x)
-    if not math.isfinite(x):
-        return "ERR:nonfinite"
-    if x == 0.0:
-        return "0"
-    s = repr(x)
-    mantissa, _, exponent = s.partition("e")
-    sign = ""
-    if mantissa[0] in "+-":
-        sign, mantissa = mantissa[0], mantissa[1:]
-    sig = len(mantissa.replace(".", "").lstrip("0"))
-    if sig < _MIN_SIG_DIGITS:
-        if "." not in mantissa:
-            mantissa += "."
-        mantissa += "0" * (_MIN_SIG_DIGITS - sig)
-    out = sign + mantissa
-    if exponent:
-        out += "e" + exponent
-    return out
+    return _format_repr(repr(float(x)))
+
+
+# reprs that are not a padded decimal
+_SPECIAL_REPRS = {"inf": "ERR:nonfinite", "-inf": "ERR:nonfinite", "nan": "ERR:nonfinite",
+                  "0.0": "0", "-0.0": "0"}
+
+
+def _format_repr(s: str) -> str:
+    """format_number of the float whose repr is s: its mantissa gets zeros after its
+    last digit (and a point if it has none) up to 12 significant digits."""
+    special = _SPECIAL_REPRS.get(s)
+    if special is not None:
+        return special
+    mantissa, e, exponent = s.partition("e")
+    missing = _MIN_SIG_DIGITS - len(mantissa.replace(".", "").lstrip("-0"))
+    if missing <= 0:
+        return s
+    return mantissa + ("" if "." in mantissa else ".") + "0" * missing + e + exponent
 
 
 # each method's CSV columns and the MethodResult field behind each
@@ -68,27 +68,46 @@ def _method_columns(methods: frozenset[str]) -> list[str]:
     return cols
 
 
-def _row_cells(row, methods: frozenset[str]) -> list[str]:
-    cells = [format_number(row.variable_value)]
+def _format_column(cells: list) -> list[str]:
+    """format_number of each cell of a column; a str cell (an ERR:<code>) stays as it
+    is and None is ERR:na.  Each float is repr'd once.  Where its repr provably
+    shows at least 12 significant digits it is already format_number's output and
+    skips the padding: a repr holds at most 7 other characters (sign, point,
+    e-324), and at most 2 when it has no sign, no exponent and no "0.0" prefix."""
+    return [
+        "ERR:na" if cell is None
+        else cell if type(cell) is str
+        else format_number(cell) if type(cell) is not float
+        else s if len(s := repr(cell)) > 18
+        or len(s) > 13 and s[0] != "-" and "e" not in s and s[:3] != "0.0"
+        else _format_repr(s)
+        for cell in cells
+    ]
+
+
+def _table_rows(rows, methods: frozenset[str]) -> list[tuple[str, ...]]:
+    """The CSV cells of each sweep row (variable, each method's columns, bound_gap),
+    rendered column by column."""
+    columns = [[row.variable_value for row in rows]]
     for m in METHOD_ORDER:
         if m not in methods:
             continue
-        res = row.results.get(m)
-        if res is None or res.error is not None:
-            code = res.error if res is not None else "na"
-            cells += [f"ERR:{code}"] * len(_COLUMNS[m])
-        else:
-            cells += [format_number(getattr(res, field)) for _, field in _COLUMNS[m]]
+        results = [row.results.get(m) for row in rows]
+        for _, field in _COLUMNS[m]:
+            columns.append([
+                getattr(res, field) if res is not None and res.error is None
+                else f"ERR:{res.error if res is not None else 'na'}"
+                for res in results
+            ])
     if "exact" in methods and "bound" in methods:
-        cells.append(format_number(row.bound_gap) if row.bound_gap is not None else "ERR:na")
-    return cells
+        columns.append([row.bound_gap for row in rows])
+    return list(zip(*map(_format_column, columns)))
 
 
 def render_sweep_csv(rows, methods: frozenset[str]) -> str:
     """Deterministic LF-terminated CSV for a list of sweep rows."""
     lines = [",".join(["var"] + _method_columns(methods))]
-    for row in rows:
-        lines.append(",".join(_row_cells(row, methods)))
+    lines += map(",".join, _table_rows(rows, methods))
     return "\n".join(lines) + "\n"
 
 
@@ -188,8 +207,7 @@ def _cmd_eval(args) -> int:
     methods = frozenset(args.method or ["exact"])
     results, bound_gap = evaluate_methods(potential, args.energy, methods, ctx)
     header = ["energy"] + _method_columns(methods)
-    row = SweepRow(args.energy, results, bound_gap)
-    cells = _row_cells(row, methods)
+    cells = list(_table_rows([SweepRow(args.energy, results, bound_gap)], methods)[0])
     if getattr(args, "r_convention", None) and isinstance(potential, Eckart):
         header.append(f"exact_R_{args.r_convention}")
         try:

@@ -1,8 +1,10 @@
 """Closed-form scattering amplitudes and probabilities for the four potentials.
 
-Each case maps to one function: delta, rectangular above/below the barrier,
-Eckart transmission (plus its literature reflection formula), and the Hulthen
-hypergeometric amplitudes, whose 2F1 series for an energy grid run in lockstep.
+Each case maps to one function: the delta and rectangular amplitudes on an array
+of energies (both rectangular branches in one routine), Eckart transmission
+(plus its literature reflection formula), and the Hulthen hypergeometric
+amplitudes, whose 2F1 series for an energy grid run in lockstep.  The scalar
+delta and rectangular functions are the one-energy case of their array routine.
 The family classes in ``potentials`` call these; an Eckart or Hulthen argument
 ``p`` is read through its fields and ``p.asymptotes()`` only.
 """
@@ -17,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicsContext, ScatteringAmplitudes
-from .errors import InvalidInputError, QscatError, WrongCaseError
+from .errors import (
+    ConvergenceError,
+    DegenerateEnergyError,
+    InvalidInputError,
+    QscatError,
+    WrongCaseError,
+)
 from .specfun import (
     DEFAULT_SERIES,
     SeriesControl,
@@ -34,6 +42,11 @@ _CONNECTION_MAX_X = 5.0
 _CONNECTION_MAX_NU_PER_LAM = 1e4
 # points per kernel and log_gamma call, bounding the memory of a long sweep
 _BATCH_POINTS = 256
+# a Hulthen point whose sums cancel beyond this factor (keeping fewer than ~8 of
+# the 16 digits) or whose |T + R - 1| exceeds this defect is ERR:noconv; the
+# benchmark grids (q = 0.5 to 0.99, E <= 10) stay below 600 and 4e-13
+_MAX_CANCELLATION = 1e8
+_MAX_DEFECT = 1e-6
 
 
 def asymptotic_wavenumbers(p, energy: float, ctx: PhysicsContext) -> tuple[float, float]:
@@ -55,79 +68,215 @@ def asymptotic_wavenumbers(p, energy: float, ctx: PhysicsContext) -> tuple[float
     )
 
 
-def _require_finite_phase(k: float, a: float) -> None:
-    # e^{2ika} of an infinite argument has no value (cmath raises a domain error)
-    if not math.isfinite(2.0 * k * a):
-        raise InvalidInputError(f"phase 2 k a = 2 * {k!r} * {a!r} overflows double range")
+def _pow2_one(v: float) -> float:
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
+def _pow2(x) -> np.ndarray:
+    """x ** 2 at each element as Python computes it: libm pow, which differs from x * x
+    in the last bit for ~0.1% of inputs.  An element where Python raises
+    OverflowError is inf."""
+    values = x.tolist()
+    try:
+        return np.array([v**2 for v in values], dtype=float)
+    except OverflowError:
+        return np.array([_pow2_one(v) for v in values], dtype=float)
+
+
+def probability_arrays(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T = |t|^2, R = |r|^2 and the defect |T + R - 1| at each element of the complex
+    arrays t and r, bit for bit what probabilities_from_amplitudes and
+    unitarity_defect give at each point (numpy's hypot is Python's complex abs);
+    no finiteness check."""
+    transmission = _pow2(np.hypot(t.real, t.imag))
+    reflection = _pow2(np.hypot(r.real, r.imag))
+    with np.errstate(invalid="ignore"):
+        return transmission, reflection, np.abs(transmission + reflection - 1.0)
+
+
+def _cmul(a, b):
+    """The complex product a * b as CPython 3.11 forms it, on (real, imag) pairs of
+    floats or arrays; Python turns a real operand x into (x, 0.0) first."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(a, b):
+    """The complex quotient a / b as CPython 3.11 forms it (_Py_c_quot, Smith's
+    algorithm scaled by the larger part of b), on (real, imag) pairs of arrays.  A
+    zero b gives NaN where Python raises ZeroDivisionError."""
+    (ar, ai), (br, bi) = a, b
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    scale = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / scale,
+            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / scale)
+
+
+def _unit_phase(y):
+    # cmath.exp(1j * y) is exp(0.0) = 1.0 times (cos y, sin y)
+    return np.cos(y), np.sin(y)
+
+
+def _amplitude_grid(energies: list, t, r, checks: list):
+    """(t, r, errors) of a closed-form grid: t and r as complex arrays and, per point,
+    None or the error of the first of ``checks`` (mask, error class, message) that
+    flags it.  A point whose t or r is not finite is invalid."""
+    t_c, r_c = np.empty(len(energies), np.complex128), np.empty(len(energies), np.complex128)
+    t_c.real, t_c.imag = t
+    r_c.real, r_c.imag = r
+    leaves = ~(np.isfinite(t_c) & np.isfinite(r_c))
+    checks = [*checks, (leaves, InvalidInputError, "amplitudes at energy {!r} leave double range")]
+    errors = [None] * len(energies)
+    for mask, error, message in checks:
+        for i in np.flatnonzero(mask).tolist():
+            if errors[i] is None:
+                errors[i] = error(message.format(energies[i]))
+    return t_c, r_c, errors
+
+
+def _one_point(grid) -> ScatteringAmplitudes:
+    # the single point of a one-energy grid, or the error it has
+    (t,), (r,), (error,) = grid
+    if error is not None:
+        raise error
+    return ScatteringAmplitudes(t=complex(t), r=complex(r))
+
+
+def delta_amplitudes_grid(alpha: float, energies, ctx: PhysicsContext):
+    """Delta potential: t = k/(k - i k0), r = i k0/(k - i k0), k0 = m alpha / hbar^2, at
+    each energy.  Returns complex arrays t and r and, per point, None or its error:
+    InvalidInputError for E <= 0 or not finite, or amplitudes that leave double range.
+    Every operation is Python's scalar one, in its order, so each point is bit for bit
+    the scalar formula."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InvalidInputError(f"delta strength alpha must be positive, got {alpha!r}")
+    e = np.asarray(energies, dtype=float)
+    try:
+        ik0 = 1j * (ctx.mass * alpha / ctx.hbar**2)
+    except ArithmeticError:  # hbar^2 leaves double range: every point is invalid
+        ik0 = complex(math.nan, math.nan)
+    with np.errstate(all="ignore"):
+        k = np.sqrt(2.0 * ctx.mass * e) / ctx.hbar
+        denom = (k - ik0.real, 0.0 - ik0.imag)
+        t = _cdiv((k, 0.0), denom)
+        r = _cdiv((ik0.real, ik0.imag), denom)
+        bad_energy = ~(np.isfinite(e) & (e > 0))
+    return _amplitude_grid(
+        e.tolist(), t, r, [(bad_energy, InvalidInputError, "scattering requires energy > 0, got {!r}")]
+    )
+
+
+def _rect_above(k, q, a):
+    # (t, r, where Python's ** overflows) of the oscillatory branch
+    kpq2, kmq2, kk, qq = _pow2(k + q), _pow2(k - q), _pow2(k), _pow2(q)
+    y = 2.0 * q * a
+    e_plus = _unit_phase(y)
+    denom_plus = _cmul((kpq2, 0.0), e_plus)
+    denom_minus = _cmul((kmq2, 0.0), _unit_phase(-y))
+    denom = (denom_plus[0] - denom_minus[0], denom_plus[1] - denom_minus[1])
+    phase = _unit_phase(2.0 * k * a)
+    t = _cdiv(_cmul((4.0 * k * q, 0.0), phase), denom)
+    r_num = _cmul(_cmul(_cmul((0.0, 2.0), (kk - qq, 0.0)), (e_plus[1], 0.0)), phase)
+    overflow = ~(np.isfinite(kpq2) & np.isfinite(kmq2) & np.isfinite(kk) & np.isfinite(qq))
+    return t, _cdiv(r_num, denom), overflow
+
+
+def _rect_below(k, big_q, a):
+    # (t, r, where Python's ** overflows) of the tunnelling branch, scaled by e^{-2Qa}
+    kk, qq = _pow2(k), _pow2(big_q)
+    exponent = (-4.0 * big_q * a).tolist()
+    decay = np.array([math.exp(x) for x in exponent], dtype=float)
+    sh = -0.5 * np.array([math.expm1(x) for x in exponent], dtype=float)  # e^{-2Qa} sinh(2Qa)
+    ch = 0.5 * (1.0 + decay)  # e^{-2Qa} cosh(2Qa)
+    interior = _cmul(_cmul(_cmul((0.0, 2.0), (k, 0.0)), (big_q, 0.0)), (ch, 0.0))
+    denom = ((kk - qq) * sh + interior[0], 0.0 + interior[1])
+    phase = _unit_phase(-2.0 * k * a)
+    t_num = _cmul(_cmul(_cmul(_cmul((0.0, 2.0), (big_q, 0.0)), (k, 0.0)), (np.sqrt(decay), 0.0)), phase)
+    r_num = _cmul(((kk + qq) * sh, 0.0), phase)
+    overflow = ~(np.isfinite(kk) & np.isfinite(qq))
+    return _cdiv(t_num, denom), _cdiv(r_num, denom), overflow
+
+
+def rectangular_amplitudes_grid(v0: float, a: float, energies, ctx: PhysicsContext):
+    """Rectangular barrier amplitudes at each energy, by branch.
+
+    Above the barrier (E > v0, oscillatory interior, q^2 = 2m(E - v0)/hbar^2):
+      t = 4 k q e^{2ika} / [(k+q)^2 e^{2iqa} - (k-q)^2 e^{-2iqa}]
+      r = 2i (k^2 - q^2) sin(2qa) e^{2ika} / [same denominator]
+    Below it (0 < E < v0, tunnelling, Q^2 = 2m(v0 - E)/hbar^2):
+      t = 2 i Q k e^{-2ika} / [(k^2 - Q^2) sinh(2Qa) + 2 i k Q cosh(2Qa)]
+      r = (k^2 + Q^2) sinh(2Qa) e^{-2ika} / [same denominator]
+    Below, numerators and denominator are multiplied by e^{-2Qa}, so sinh and cosh
+    enter as (1 -+ e^{-4Qa})/2 and thick barriers cannot overflow.
+
+    Returns complex arrays t and r and, per point, None or its error:
+    DegenerateEnergyError at E = v0, where both formulas are singular;
+    InvalidInputError for E <= 0 or not finite, an infinite phase 2ka (e^{2ika} has
+    no value), or intermediates that leave double range.  Every operation is
+    Python's scalar one, in its order (x**2 and exp per element from Python), so each
+    point is bit for bit the scalar formula.
+    """
+    if not (math.isfinite(v0) and v0 > 0 and math.isfinite(a) and a > 0):
+        raise InvalidInputError(f"need v0 > 0 and a > 0, got v0={v0!r}, a={a!r}")
+    e = np.asarray(energies, dtype=float)
+    try:
+        two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
+    except ArithmeticError:  # hbar^2 leaves double range: every point is invalid
+        two_m_over_h2 = math.nan
+    t = [np.full(len(e), math.nan), np.full(len(e), math.nan)]
+    r = [np.full(len(e), math.nan), np.full(len(e), math.nan)]
+    overflow = np.zeros(len(e), dtype=bool)
+    with np.errstate(all="ignore"):
+        k = np.sqrt(two_m_over_h2 * e)
+        q = np.sqrt(two_m_over_h2 * np.abs(e - v0))  # v0 - E is -(E - v0) exactly
+        above = e > v0
+        for branch, points in ((_rect_above, above), (_rect_below, ~above)):
+            bt, br, bo = branch(k[points], q[points], a)
+            t[0][points], t[1][points], r[0][points], r[1][points] = *bt, *br
+            overflow[points] = bo
+        phase_overflow = ~np.isfinite(2.0 * k * a)
+        bad_energy = ~(np.isfinite(e) & (e > 0))
+    return _amplitude_grid(e.tolist(), t, r, [
+        (e == v0, DegenerateEnergyError, "both exact formulas are singular at E = v0 = {!r}"),
+        (bad_energy, InvalidInputError, "scattering requires energy > 0, got {!r}"),
+        (phase_overflow, InvalidInputError, "phase 2 k a at energy {!r} overflows double range"),
+        (overflow, InvalidInputError, "energy {!r} overflows double range"),
+    ])
 
 
 def delta_amplitudes(alpha: float, energy: float, ctx: PhysicsContext) -> ScatteringAmplitudes:
-    """Delta potential: t = k/(k - i k0), r = i k0/(k - i k0), k0 = m alpha / hbar^2."""
-    if not (math.isfinite(energy) and energy > 0):
-        raise InvalidInputError(f"scattering requires energy > 0, got {energy!r}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise InvalidInputError(f"delta strength alpha must be positive, got {alpha!r}")
-    k = math.sqrt(2.0 * ctx.mass * energy) / ctx.hbar
-    k0 = ctx.mass * alpha / ctx.hbar**2
-    denom = k - 1j * k0
-    return ScatteringAmplitudes(t=k / denom, r=1j * k0 / denom)
+    """Delta potential amplitudes at one energy: the one-point case of
+    delta_amplitudes_grid; raises its error."""
+    return _one_point(delta_amplitudes_grid(alpha, [energy], ctx))
 
 
 def rectangular_above(
     v0: float, a: float, energy: float, ctx: PhysicsContext
 ) -> ScatteringAmplitudes:
-    """Rectangular barrier with E > v0 > 0 (oscillatory interior).
-
-    t = 4 k q e^{2ika} / [(k+q)^2 e^{2iqa} - (k-q)^2 e^{-2iqa}]
-    r = 2i (k^2 - q^2) sin(2qa) e^{2ika} / [same denominator]
-    """
-    if not (v0 > 0 and a > 0):
-        raise InvalidInputError(f"need v0 > 0 and a > 0, got v0={v0!r}, a={a!r}")
+    """Rectangular barrier with E > v0 > 0 (oscillatory interior): the one-point case
+    of rectangular_amplitudes_grid; raises its error."""
     if not energy > v0:
         raise WrongCaseError(
             f"energy {energy!r} is not above the barrier {v0!r}; use rectangular_below"
         )
-    two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
-    k = math.sqrt(two_m_over_h2 * energy)
-    q = math.sqrt(two_m_over_h2 * (energy - v0))
-    _require_finite_phase(k, a)  # q < k, so 2qa is finite too
-    denom = (k + q) ** 2 * cmath.exp(2j * q * a) - (k - q) ** 2 * cmath.exp(-2j * q * a)
-    phase = cmath.exp(2j * k * a)
-    t = 4.0 * k * q * phase / denom
-    r = 2j * (k**2 - q**2) * math.sin(2.0 * q * a) * phase / denom
-    return ScatteringAmplitudes(t=t, r=r)
+    return _one_point(rectangular_amplitudes_grid(v0, a, [energy], ctx))
 
 
 def rectangular_below(
     v0: float, a: float, energy: float, ctx: PhysicsContext
 ) -> ScatteringAmplitudes:
-    """Rectangular barrier with 0 < E < v0 (tunneling).
-
-    t = 2 i Q k e^{-2ika} / [(k^2 - Q^2) sinh(2Qa) + 2 i k Q cosh(2Qa)]
-    r = (k^2 + Q^2) sinh(2Qa) e^{-2ika} / [same denominator]
-
-    Numerators and denominator are multiplied by e^{-2Qa}, so sinh and cosh
-    enter as (1 -+ e^{-4Qa})/2 and thick barriers cannot overflow.
-    """
-    if not (v0 > 0 and a > 0):
-        raise InvalidInputError(f"need v0 > 0 and a > 0, got v0={v0!r}, a={a!r}")
+    """Rectangular barrier with 0 < E < v0 (tunneling): the one-point case of
+    rectangular_amplitudes_grid; raises its error."""
     if not 0 < energy < v0:
         raise WrongCaseError(
             f"tunneling requires 0 < energy < v0, got energy={energy!r}, v0={v0!r}; "
             f"use rectangular_above for E > v0"
         )
-    two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
-    k = math.sqrt(two_m_over_h2 * energy)
-    big_q = math.sqrt(two_m_over_h2 * (v0 - energy))
-    _require_finite_phase(k, a)
-    decay = math.exp(-4.0 * big_q * a)
-    sh = -0.5 * math.expm1(-4.0 * big_q * a)  # e^{-2Qa} sinh(2Qa)
-    ch = 0.5 * (1.0 + decay)  # e^{-2Qa} cosh(2Qa)
-    denom = (k**2 - big_q**2) * sh + 2j * k * big_q * ch
-    phase = cmath.exp(-2j * k * a)
-    t = 2j * big_q * k * math.sqrt(decay) * phase / denom
-    r = (k**2 + big_q**2) * sh * phase / denom
-    return ScatteringAmplitudes(t=t, r=r)
+    return _one_point(rectangular_amplitudes_grid(v0, a, [energy], ctx))
 
 
 def _scaled_cosh(y: float, scale: float) -> float:
@@ -267,16 +416,20 @@ def _hulthen_assemble(par: HulthenParams, f1, f2, f3, f4, f5, f6) -> ScatteringA
     a_plus = lam**2 + 2 * lam * mu + mu**2 - nu**2
     a_minus = lam**2 - 2 * lam * mu + mu**2 - nu**2
 
-    denom = (
-        q * a_plus * f5 * f4
-        + q * a_minus * f1 * f6
-        - (2 * mu) * (1 - 2 * mu) * f4 * f6
+    denom_terms = (q * a_plus * f5 * f4, q * a_minus * f1 * f6, (2 * mu) * (1 - 2 * mu) * f4 * f6)
+    denom = denom_terms[0] + denom_terms[1] - denom_terms[2]
+    t_terms = (
+        q * (1 + 2 * mu) * a_minus * f1 * f2,
+        q * (1 - 2 * mu) * a_plus * f3 * f4,
+        (1 - 2 * mu) * (2 * mu) * (1 + 2 * mu) * f2 * f4,
     )
-    t_num = (
-        q * (1 + 2 * mu) * a_minus * f1 * f2
-        - q * (1 - 2 * mu) * a_plus * f3 * f4
-        - (1 - 2 * mu) * (2 * mu) * (1 + 2 * mu) * f2 * f4
-    )
+    t_num = t_terms[0] - t_terms[1] - t_terms[2]
+    for name, terms, total in (("denominator", denom_terms, denom), ("t numerator", t_terms, t_num)):
+        if max(map(abs, terms)) > _MAX_CANCELLATION * abs(total):
+            raise ConvergenceError(
+                f"the Hulthen {name} at energy {par.energy!r} cancels to below "
+                f"1/{_MAX_CANCELLATION:g} of its largest term"
+            )
     r_num = (1 + 2 * mu) * f2 * f5 + (1 - 2 * mu) * f3 * f6
 
     one_minus_q_pow = cmath.exp(2 * lam * math.log(1.0 - q))
@@ -287,6 +440,11 @@ def _hulthen_assemble(par: HulthenParams, f1, f2, f3, f4, f5, f6) -> ScatteringA
     flux = (par.energy + par.k) / par.mass
     r = -q * q_pow_2mu * a_plus / (1 + 2 * mu) * flux * r_num / denom
 
+    defect = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
+    if defect > _MAX_DEFECT:
+        raise ConvergenceError(
+            f"the Hulthen amplitudes at energy {par.energy!r} miss unitarity by {defect!r}"
+        )
     return ScatteringAmplitudes(t=t, r=r)
 
 

@@ -29,11 +29,11 @@ from .errors import (
     WrongCaseError,
 )
 from .exact import (
-    delta_amplitudes,
+    delta_amplitudes_grid,
     eckart_transmission,
     hulthen_amplitudes_grid,
-    rectangular_above,
-    rectangular_below,
+    probability_arrays,
+    rectangular_amplitudes_grid,
 )
 from .resonance import Kind, ResonanceListing, ResonanceReport, Source, _label_for
 from . import specfun, wkb
@@ -64,6 +64,17 @@ def _each(energies, formula) -> list:
         except ArithmeticError as exc:
             out.append(InvalidInputError(f"energy {energy!r} overflows double range: {exc}"))
     return out
+
+
+def _grid_results(grid) -> list:
+    """The exact MethodResult at each point of a closed-form grid (t, r, errors), or
+    the point's error."""
+    t, r, errors = grid
+    columns = (x.tolist() for x in probability_arrays(t, r))
+    return [
+        error or MethodResult("exact", transmission, reflection, defect)
+        for error, transmission, reflection, defect in zip(errors, *columns)
+    ]
 
 
 def _from_amplitudes(amps) -> MethodResult:
@@ -132,7 +143,7 @@ class Delta(_Family):
         return self, (ctx.hbar * x) ** 2 / (2.0 * ctx.mass) if variable == "k" else x
 
     def exact(self, energies, ctx) -> list:
-        return _each(energies, lambda e: _from_amplitudes(delta_amplitudes(self.alpha, e, ctx)))
+        return _grid_results(delta_amplitudes_grid(self.alpha, energies, ctx))
 
     def resonances(self, var, n_max, ctx, kind, energy=None) -> ResonanceListing:
         if var != "k":
@@ -174,11 +185,7 @@ class Rectangular(_Family):
         return self, energy
 
     def exact(self, energies, ctx) -> list:
-        def at(energy):
-            formula = rectangular_above if energy > self.v0 else rectangular_below
-            return _from_amplitudes(formula(self.v0, self.a, energy, ctx))
-
-        return _each(energies, at)
+        return _grid_results(rectangular_amplitudes_grid(self.v0, self.a, energies, ctx))
 
     def wkb_action(self, energy, solve_turning_points=False) -> float:
         if not 0 < energy < self.v0:

@@ -112,6 +112,41 @@ def hyp2f1_series_reference(a, b, c, z, rel_tol, max_terms):
     return s, n, False, abs(term)
 
 
+def scalar_delta_amplitudes(alpha, energy, ctx) -> tuple[complex, complex]:
+    """Delta amplitudes (t, r) in scalar Python arithmetic, one energy at a time: the
+    reference that ``qscat.delta_amplitudes_grid`` follows operation by operation."""
+    k = math.sqrt(2.0 * ctx.mass * energy) / ctx.hbar
+    k0 = ctx.mass * alpha / ctx.hbar**2
+    denom = k - 1j * k0
+    return k / denom, 1j * k0 / denom
+
+
+def scalar_rectangular_amplitudes(v0, a, energy, ctx) -> tuple[complex, complex]:
+    """Rectangular barrier amplitudes (t, r) in scalar Python math/cmath, one energy
+    at a time, above (E > v0) or below the barrier: the reference that
+    ``qscat.rectangular_amplitudes_grid`` follows operation by operation.  Raises
+    what the scalar arithmetic raises (OverflowError from **, ZeroDivisionError,
+    ValueError from the exponential of an infinite phase)."""
+    two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
+    k = math.sqrt(two_m_over_h2 * energy)
+    if energy > v0:
+        q = math.sqrt(two_m_over_h2 * (energy - v0))
+        denom = (k + q) ** 2 * cmath.exp(2j * q * a) - (k - q) ** 2 * cmath.exp(-2j * q * a)
+        phase = cmath.exp(2j * k * a)
+        t = 4.0 * k * q * phase / denom
+        r = 2j * (k**2 - q**2) * math.sin(2.0 * q * a) * phase / denom
+        return t, r
+    big_q = math.sqrt(two_m_over_h2 * (v0 - energy))
+    decay = math.exp(-4.0 * big_q * a)
+    sh = -0.5 * math.expm1(-4.0 * big_q * a)
+    ch = 0.5 * (1.0 + decay)
+    denom = (k**2 - big_q**2) * sh + 2j * k * big_q * ch
+    phase = cmath.exp(-2j * k * a)
+    t = 2j * big_q * k * math.sqrt(decay) * phase / denom
+    r = (k**2 + big_q**2) * sh * phase / denom
+    return t, r
+
+
 def mp_hulthen_probabilities(energy, mass, v0, q, a, dps: int = 40):
     """High-precision evaluation of the Hulthen hypergeometric amplitudes."""
     with mp.workdps(dps):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscat import sweep
-from qscat.cli import format_number, main
+from qscat.cli import _format_column, format_number, main
 
 TESTS = Path(__file__).parent
 
@@ -52,6 +52,62 @@ class TestFormatNumber:
         rendered = format_number(x)
         mantissa = rendered.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
         assert len(mantissa) >= 12
+
+
+def _padded_repr(x):
+    """The number format as first written, one float at a time: repr padded to 12
+    significant digits."""
+    x = float(x)
+    if not math.isfinite(x):
+        return "ERR:nonfinite"
+    if x == 0.0:
+        return "0"
+    mantissa, _, exponent = repr(x).partition("e")
+    sign = ""
+    if mantissa[0] in "+-":
+        sign, mantissa = mantissa[0], mantissa[1:]
+    sig = len(mantissa.replace(".", "").lstrip("0"))
+    if sig < 12:
+        if "." not in mantissa:
+            mantissa += "."
+        mantissa += "0" * (12 - sig)
+    return sign + mantissa + ("e" + exponent if exponent else "")
+
+
+# floats near where repr switches between positional and exponent form (1e-4, 1e16),
+# subnormals, signed zeros, inf and nan, and the ERR: and None cells of a table
+COLUMN_CELL = st.one_of(
+    st.floats(),
+    st.floats(min_value=9e-5, max_value=1.1e-4),
+    st.floats(min_value=9e15, max_value=1.1e16),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-4, 1e16, math.inf, -math.inf, math.nan, 0.5, 2.0]),
+    st.sampled_from(["ERR:invalid", "ERR:noconv", "ERR:degenerate"]),
+    st.none(),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(
+    st.lists(COLUMN_CELL, max_size=40),
+    # few distinct values, as in a defect column
+    st.lists(st.sampled_from([0.0, -0.0, 2.220446049250313e-16, 1e-16, None, "ERR:invalid"]), max_size=40),
+))
+@example([-0.0, 0.0, 5e-324, 1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0,
+          math.inf, -math.inf, math.nan, None, "ERR:na", 1e-05, -1.5e-310])
+# 11 significant digits behind the most other characters each repr form allows
+@example([-1.2345678901e-310, 1.2345678901e-310, -0.00012345678901, 0.00012345678901,
+          0.12345678901, 12345678901.0, -12345678901.0, 1.2345678901e16])
+def test_column_renderer_is_format_number(cells):
+    rendered = _format_column(cells)
+    assert len(rendered) == len(cells)
+    for cell, text in zip(cells, rendered):
+        if cell is None:
+            assert text == "ERR:na"
+        elif isinstance(cell, str):
+            assert text == cell
+        else:
+            assert text == format_number(cell) == _padded_repr(cell)
 
 
 class TestEval:
@@ -447,6 +503,20 @@ def test_extreme_sweeps_give_numbers_or_err_cells(argv):
         exact, bound = cells["exact_T"], cells["bound_T"]
         if not (exact.startswith("ERR:") or bound.startswith("ERR:")):
             assert float(bound) <= float(exact) * (1.0 + 1e-9), cells
+
+
+@pytest.mark.parametrize("q", ["0.7", "0.99"])
+def test_hulthen_deep_tunnelling_is_noconv(capsys, q):
+    # the direct route (q = 0.7) misses unitarity by 0.31; at q = 0.99 the connection
+    # route's t numerator cancels to 2e-13 of its terms, leaving T = 1.2e-25 where
+    # the 40-digit oracle gives 1.6e-58
+    code, out, err = run_cli(
+        capsys,
+        "eval", "--potential", "hulthen", "--v0", "8.74", "--a", "0.194", "--q", q,
+        "--mass", "2.9", "--energy", "2.95",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[1:] == ["ERR:noconv"] * 3
 
 
 class TestOverflowCells:

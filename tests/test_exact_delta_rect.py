@@ -1,14 +1,17 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from oracles import rectangular_matching
+from oracles import rectangular_matching, scalar_delta_amplitudes, scalar_rectangular_amplitudes
 from qscat import (
     PhysicsContext,
     delta_amplitudes,
+    delta_amplitudes_grid,
     probabilities_from_amplitudes,
     rectangular_above,
+    rectangular_amplitudes_grid,
     rectangular_below,
     unitarity_defect,
 )
@@ -192,3 +195,69 @@ class TestRectangularBelow:
             rectangular_below(1.0, 1.0, 2.0, ctx)
         with pytest.raises(WrongCaseError):
             rectangular_below(1.0, 1.0, -0.5, ctx)
+
+
+class TestAmplitudeGrids:
+    """The array routines flag each point that has no amplitudes, without a warning,
+    and their one-point cases are the scalar functions."""
+
+    @pytest.mark.parametrize("decades", [1.0, 300.0])
+    def test_points_are_the_scalar_reference_bit_for_bit(self, rng, decades):
+        # parameters and energies log-uniform within 10^+-decades; where the scalar
+        # arithmetic gives finite amplitudes the grid gives the same bits, and where
+        # it raises or leaves double range the grid gives an error
+        def draw(size=None):
+            return 10.0 ** rng.uniform(-decades, decades, size)
+
+        checked = 0
+        for _ in range(60):
+            v0, a, alpha = draw(), draw(), draw()
+            ctx = PhysicsContext(hbar=draw(), mass=draw())
+            energies = (v0 * draw(40) ** (1.0 / decades)).tolist() + [v0]
+            grids = (
+                (rectangular_amplitudes_grid(v0, a, energies, ctx), scalar_rectangular_amplitudes, (v0, a)),
+                (delta_amplitudes_grid(alpha, energies, ctx), scalar_delta_amplitudes, (alpha,)),
+            )
+            for (t, r, errors), reference, params in grids:
+                for energy, ti, ri, error in zip(energies, t, r, errors):
+                    try:
+                        expected = reference(*params, energy, ctx)
+                    except (ArithmeticError, ValueError):
+                        expected = None
+                    if expected is None or not all(map(cmath.isfinite, expected)):
+                        assert error is not None
+                    elif energy == v0 and reference is scalar_rectangular_amplitudes:
+                        assert error.code == "degenerate"
+                    else:
+                        assert error is None and (complex(ti), complex(ri)) == expected
+                        checked += 1
+        assert checked >= 1500  # 4860 of the 4920 points at 1 decade, 1921 at 300
+
+    ENERGIES = [0.25, 0.999, 1.0, 1.001, 2.0, 50.0, 0.0, -1.0, math.nan, math.inf]
+
+    def test_rectangular_codes_and_points(self, ctx):
+        t, r, errors = rectangular_amplitudes_grid(1.0, 1.0, self.ENERGIES, ctx)
+        codes = [None if e is None else e.code for e in errors]
+        assert codes == [None, None, "degenerate", None, None, None] + ["invalid"] * 4
+        for energy, ti, ri, error in zip(self.ENERGIES, t, r, errors):
+            if error is None:
+                formula = rectangular_above if energy > 1.0 else rectangular_below
+                amps = formula(1.0, 1.0, energy, ctx)
+                assert (amps.t, amps.r) == (ti, ri)
+
+    def test_delta_codes_and_points(self, ctx):
+        t, r, errors = delta_amplitudes_grid(1.3, self.ENERGIES, ctx)
+        codes = [None if e is None else e.code for e in errors]
+        assert codes == [None] * 6 + ["invalid"] * 4
+        for energy, ti, ri, error in zip(self.ENERGIES, t, r, errors):
+            if error is None:
+                amps = delta_amplitudes(1.3, energy, ctx)
+                assert (amps.t, amps.r) == (ti, ri)
+
+    @pytest.mark.parametrize("hbar", [1e-170, 1e160])
+    def test_hbar_squared_out_of_range_is_invalid_everywhere(self, hbar):
+        # hbar**2 underflows to 0 or overflows: no point has a wavenumber
+        ctx = PhysicsContext(hbar=hbar)
+        for grid in (delta_amplitudes_grid(1.0, [0.5, 2.0], ctx),
+                     rectangular_amplitudes_grid(1.0, 1.0, [0.5, 2.0], ctx)):
+            assert [e.code for e in grid[2]] == ["invalid", "invalid"]

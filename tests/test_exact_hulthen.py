@@ -135,3 +135,13 @@ class TestConnectionRoute:
             with pytest.raises(ConvergenceError):
                 hulthen_amplitudes(p, 1e4)
         assert [row.results["exact"].error for row in rows] == ["noconv", "noconv"]
+
+
+class TestAssemblyGuard:
+    """A point whose assembly keeps too few digits of T is noconv, not a number."""
+
+    @pytest.mark.parametrize("q, reason", [(0.7, "unitarity"), (0.99, "cancels")])
+    def test_deep_tunnelling_raises_noconv(self, q, reason):
+        # the 40-digit oracle gives T = 3.3e-61 (q = 0.7) and 1.6e-58 (q = 0.99)
+        with pytest.raises(ConvergenceError, match=reason):
+            hulthen_amplitudes(Hulthen(v0=8.74, a=0.194, q=q), 2.95, mass=2.9)

@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 
 from qscat import (
+    NATURAL_UNITS,
     Delta,
     Eckart,
     Hulthen,
     Rectangular,
     SeriesControl,
     SweepSpec,
+    delta_amplitudes,
     hulthen_params,
+    probabilities_from_amplitudes,
+    rectangular_above,
+    rectangular_below,
     run_sweep,
+    unitarity_defect,
 )
 from qscat import exact, specfun
-from qscat.errors import InvalidInputError
+from qscat.errors import InvalidInputError, QscatError
 from qscat.exact import _connection_route
 from qscat.sweep import sweep_rows
 
@@ -223,3 +229,71 @@ class TestValidation:
         # an infinite bound or span would make every grid value NaN or infinite
         with pytest.raises(InvalidInputError, match="finite"):
             SweepSpec(Delta(alpha=1.0), "k", lo=lo, hi=hi, points=3)
+
+
+# (potential, swept variable, [(value, code of its exact row, code the public scalar
+# function raises)]): both branches of each closed form, and the points where they
+# fail.  The scalar codes differ from the row's only where rectangular_below's own
+# precondition 0 < E < v0 comes first.
+CLOSED_FORM_BATCHES = {
+    "delta-k": (Delta(1.0), "k", [
+        (0.02, None, None), (1.0, None, None), (7.5, None, None),
+        (1e200, "invalid", None),  # (hbar k)^2 overflows in the sweep map
+    ]),
+    "delta-E": (Delta(1.0), "E", [
+        (0.5, None, None), (50.0, None, None), (5e307, None, None),
+        (0.0, "invalid", "invalid"), (-1.0, "invalid", "invalid"),
+        (1e308, "invalid", "invalid"),  # 2 m E overflows
+    ]),
+    "rect-E": (Rectangular(1.0, 1.0), "E", [
+        (0.5, None, None), (2.0, None, None),
+        (1.0, "degenerate", None),  # E = v0: no point to evaluate
+        (0.0, "invalid", "wrongcase"), (-0.5, "invalid", "wrongcase"),
+        (5e307, "invalid", "invalid"),  # (k + q)^2 overflows
+    ]),
+    "rect-phase": (Rectangular(1.0, 1e290), "E", [
+        (0.5, None, None), (2.0, None, None),
+        (1e40, "invalid", "invalid"),  # 2ka is infinite
+    ]),
+    "rect-q": (Rectangular(0.5, 1.0), "q", [
+        (0.0025, None, None), (1.0, None, None), (10.0, None, None),
+        (0.0, "degenerate", None),
+        (1e200, "invalid", None),  # (hbar q)^2 overflows in the sweep map
+    ]),
+}
+
+
+def _scalar(p, energy):
+    if isinstance(p, Delta):
+        return delta_amplitudes(p.alpha, energy, NATURAL_UNITS)
+    formula = rectangular_above if energy > p.v0 else rectangular_below
+    return formula(p.v0, p.a, energy, NATURAL_UNITS)
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_BATCHES))
+def test_closed_form_rows_are_one_path_and_batch_independent(case):
+    """Each delta and rectangular row is the same alone and in a mixed batch, and is
+    the public scalar function's result (or error) at that energy, bit for bit."""
+    p, variable, points = CLOSED_FORM_BATCHES[case]
+    spec = SweepSpec(p, variable, lo=1.0, hi=2.0, points=2)
+    to_point = p.sweep_map(variable, NATURAL_UNITS, {})
+    batch = sweep_rows(spec, [x for x, _, _ in points])
+    for (x, code, scalar_code), row in zip(points, batch):
+        assert sweep_rows(spec, [x]) == [row]
+        res = row.results["exact"]
+        assert res.error == code
+        try:
+            _, energy = to_point(x)
+        except (QscatError, ArithmeticError):
+            assert row.gap_marker
+            continue
+        if code is None:
+            probs = probabilities_from_amplitudes(_scalar(p, energy))
+            # T, R and the defect are >= 0, so == compares every bit
+            assert (res.transmission, res.reflection, res.defect) == (
+                probs.transmission, probs.reflection, unitarity_defect(probs)
+            )
+        else:
+            with pytest.raises(QscatError) as raised:
+                _scalar(p, energy)
+            assert raised.value.code == scalar_code
