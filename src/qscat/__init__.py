@@ -5,23 +5,8 @@ amplitudes, a semiclassical tunneling approximation, a sech^2 transfer-matrix
 lower bound, resonance finding, and a sweep/CSV front end.
 """
 
-from .core import (
-    NATURAL_UNITS,
-    PhysicsContext,
-    Probabilities,
-    ScatteringAmplitudes,
-    probabilities_from_amplitudes,
-    unitarity_defect,
-)
-from .potentials import (
-    Delta,
-    Eckart,
-    Hulthen,
-    PotentialSpec,
-    Rectangular,
-    asymptotic_values,
-    evaluate,
-)
+from .core import NATURAL_UNITS, PhysicsContext, ScatteringAmplitudes
+from .potentials import Delta, Eckart, Hulthen, PotentialSpec, Rectangular
 from .exact import (
     HulthenParams,
     asymptotic_wavenumbers,
@@ -36,7 +21,7 @@ from .exact import (
     rectangular_amplitudes_grid,
     rectangular_below,
 )
-from .specfun import DEFAULT_SERIES, SeriesControl, gamma, gauss_2f1, log_gamma
+from .specfun import DEFAULT_SERIES, SeriesControl, gauss_2f1, log_gamma
 from .wkb import (
     BarrierRegion,
     QuadratureControl,

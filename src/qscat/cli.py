@@ -212,9 +212,11 @@ def _cmd_eval(args) -> int:
         header.append(f"exact_R_{args.r_convention}")
         try:
             r_alt = eckart_reflection_paper(potential, args.energy, ctx, args.r_convention)
-            cells.append(format_number(r_alt))
+            cells.append(format_number(r_alt) if math.isfinite(r_alt) else "ERR:invalid")
         except QscatError as exc:
             cells.append(f"ERR:{exc.code}")
+        except ArithmeticError:  # intermediates leave double range
+            cells.append("ERR:invalid")
     print(",".join(header))
     print(",".join(cells))
     return 0

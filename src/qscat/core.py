@@ -1,4 +1,4 @@
-"""Shared domain types and the flux-conservation (unitarity) check.
+"""Shared domain types.
 
 Complex amplitudes are plain Python ``complex`` values.  Natural units
 (hbar = m = 1) are the default everywhere and can be overridden through
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 
@@ -43,8 +44,7 @@ class ScatteringAmplitudes:
     r: complex
 
 
-@dataclass(frozen=True)
-class MethodResult:
+class MethodResult(NamedTuple):
     """One method's labeled output at a single grid point."""
 
     method: str
@@ -52,30 +52,3 @@ class MethodResult:
     reflection: float | None = None
     defect: float | None = None
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class Probabilities:
-    transmission: float
-    reflection: float
-
-
-def _require_finite(name: str, z: complex) -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidInputError(f"non-finite amplitude component in {name}: {z!r}")
-
-
-def probabilities_from_amplitudes(a: ScatteringAmplitudes) -> Probabilities:
-    """Squared moduli T = |t|^2 and R = |r|^2 of the amplitudes.
-
-    Values are returned raw (no clamping) so that property tests see the
-    actual computed numbers; clamping to [0, 1] is a display concern.
-    """
-    _require_finite("t", complex(a.t))
-    _require_finite("r", complex(a.r))
-    return Probabilities(abs(complex(a.t)) ** 2, abs(complex(a.r)) ** 2)
-
-
-def unitarity_defect(p: Probabilities) -> float:
-    """|T + R - 1|; zero for exact elastic scattering."""
-    return abs(p.transmission + p.reflection - 1.0)

@@ -3,8 +3,9 @@
 Each case maps to one function: the delta and rectangular amplitudes on an array
 of energies (both rectangular branches in one routine), Eckart transmission
 (plus its literature reflection formula), and the Hulthen hypergeometric
-amplitudes, whose 2F1 series for an energy grid run in lockstep.  The scalar
-delta and rectangular functions are the one-energy case of their array routine.
+amplitudes, whose 2F1 series for an energy grid run in lockstep.  The delta,
+rectangular and Hulthen grids return the same (t, r, errors) triple, and their
+scalar functions are its one-energy case.
 The family classes in ``potentials`` call these; an Eckart or Hulthen argument
 ``p`` is read through its fields and ``p.asymptotes()`` only.
 """
@@ -88,9 +89,9 @@ def _pow2(x) -> np.ndarray:
 
 def probability_arrays(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T = |t|^2, R = |r|^2 and the defect |T + R - 1| at each element of the complex
-    arrays t and r, bit for bit what probabilities_from_amplitudes and
-    unitarity_defect give at each point (numpy's hypot is Python's complex abs);
-    no finiteness check."""
+    arrays t and r, bit for bit Python's abs(t) ** 2, abs(r) ** 2 and
+    abs(T + R - 1.0) at each point (numpy's hypot is Python's complex abs); no
+    finiteness check."""
     transmission = _pow2(np.hypot(t.real, t.imag))
     reflection = _pow2(np.hypot(r.real, r.imag))
     with np.errstate(invalid="ignore"):
@@ -121,16 +122,22 @@ def _unit_phase(y):
     return np.cos(y), np.sin(y)
 
 
-def _amplitude_grid(energies: list, t, r, checks: list):
-    """(t, r, errors) of a closed-form grid: t and r as complex arrays and, per point,
-    None or the error of the first of ``checks`` (mask, error class, message) that
-    flags it.  A point whose t or r is not finite is invalid."""
+def _amplitude_grid(energies: list, t, r, checks: list, errors: list | None = None):
+    """(t, r, errors) of a closed-form grid: t and r, (real, imag) pairs of arrays, as
+    complex arrays and, per point, None or its error: the one ``errors`` already
+    holds for it (an ArithmeticError, an overflow of double range, becomes an
+    InvalidInputError), else that of the first of ``checks`` (mask, error class,
+    message) that flags it.  A point whose t or r is not finite is invalid."""
     t_c, r_c = np.empty(len(energies), np.complex128), np.empty(len(energies), np.complex128)
     t_c.real, t_c.imag = t
     r_c.real, r_c.imag = r
     leaves = ~(np.isfinite(t_c) & np.isfinite(r_c))
     checks = [*checks, (leaves, InvalidInputError, "amplitudes at energy {!r} leave double range")]
-    errors = [None] * len(energies)
+    errors = [
+        InvalidInputError(f"energy {energy!r} overflows double range: {error}")
+        if isinstance(error, ArithmeticError) else error
+        for energy, error in zip(energies, errors or [None] * len(energies))
+    ]
     for mask, error, message in checks:
         for i in np.flatnonzero(mask).tolist():
             if errors[i] is None:
@@ -380,9 +387,7 @@ class HulthenParams:
     k: float
     energy: float
     mass: float
-    v0: float
     q: float
-    a: float
 
 
 def hulthen_params(p, energy: float, mass: float) -> HulthenParams:
@@ -404,13 +409,11 @@ def hulthen_params(p, energy: float, mass: float) -> HulthenParams:
         k=k,
         energy=energy,
         mass=mass,
-        v0=p.v0,
         q=p.q,
-        a=p.a,
     )
 
 
-def _hulthen_assemble(par: HulthenParams, f1, f2, f3, f4, f5, f6) -> ScatteringAmplitudes:
+def _hulthen_assemble(par: HulthenParams, f1, f2, f3, f4, f5, f6) -> tuple[complex, complex]:
     mu, nu, lam, q = par.mu, par.nu, par.lam, par.q
 
     a_plus = lam**2 + 2 * lam * mu + mu**2 - nu**2
@@ -445,7 +448,7 @@ def _hulthen_assemble(par: HulthenParams, f1, f2, f3, f4, f5, f6) -> ScatteringA
         raise ConvergenceError(
             f"the Hulthen amplitudes at energy {par.energy!r} miss unitarity by {defect!r}"
         )
-    return ScatteringAmplitudes(t=t, r=r)
+    return t, r
 
 
 def _factor_rows(par: HulthenParams) -> list[tuple[complex, complex, complex]]:
@@ -507,10 +510,9 @@ def _connection_factors(rows, q: float, ctrl: SeriesControl):
             for v, first, second in zip(values.tolist(), series[:n], series[n:])]
 
 
-def hulthen_amplitudes_grid(
-    p, energies, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES
-) -> list[ScatteringAmplitudes | QscatError]:
-    """Hulthen amplitudes at each energy, or the error that energy raises.
+def hulthen_amplitudes_grid(p, energies, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES):
+    """Hulthen amplitudes at each energy: complex arrays t and r and, per point, None
+    or its error.
 
     Each point takes its six 2F1 factors by one route, chosen from its own
     (q, lam, nu) by _connection_route: the direct series in q, or two series in
@@ -521,32 +523,31 @@ def hulthen_amplitudes_grid(
     converge gives its point gauss_2f1's ConvergenceError, an overflow of
     double range an InvalidInputError.
     """
-    out, direct, connection = [], [], []
-    for energy in energies:
+    energies = list(energies)
+    t, r = np.full((2, len(energies)), np.nan, np.complex128)
+    params, errors, direct, connection = [None] * len(energies), [None] * len(energies), [], []
+    for i, energy in enumerate(energies):
         try:
-            out.append(par := hulthen_params(p, energy, mass))
+            params[i] = hulthen_params(p, energy, mass)
         except (QscatError, ArithmeticError) as exc:
-            out.append(exc)
+            errors[i] = exc
             continue
-        (connection if _connection_route(par) else direct).append(len(out) - 1)
+        (connection if _connection_route(params[i]) else direct).append(i)
     routes = ((direct, _direct_factors, p.q), (connection, _connection_factors, 1.0 - p.q))
     for points, route, z in routes:
         for j in range(0, len(points), _BATCH_POINTS):
             batch = points[j : j + _BATCH_POINTS]
-            values = route([row for i in batch for row in _factor_rows(out[i])], p.q, ctrl)
+            values = route([row for i in batch for row in _factor_rows(params[i])], p.q, ctrl)
             for k, i in enumerate(batch):
                 factors = values[6 * k : 6 * k + 6]
                 try:
                     for value, converged, last in factors:
                         if not converged:
                             raise _convergence_error(value, last, z, ctrl)
-                    out[i] = _hulthen_assemble(out[i], *(f[0] for f in factors))
+                    t[i], r[i] = _hulthen_assemble(params[i], *(f[0] for f in factors))
                 except (QscatError, ArithmeticError) as exc:
-                    out[i] = exc
-    for i, res in enumerate(out):
-        if isinstance(res, ArithmeticError):
-            out[i] = InvalidInputError(f"energy {energies[i]!r} overflows double range: {res}")
-    return out
+                    errors[i] = exc
+    return _amplitude_grid(energies, (t.real, t.imag), (r.real, r.imag), [], errors)
 
 
 def hulthen_amplitudes(
@@ -558,7 +559,4 @@ def hulthen_amplitudes(
     named intermediate (f1..f6) and the full assembly is frozen by golden
     tests.  The one-energy case of hulthen_amplitudes_grid; raises its error.
     """
-    (result,) = hulthen_amplitudes_grid(p, [energy], mass, ctrl)
-    if isinstance(result, QscatError):
-        raise result
-    return result
+    return _one_point(hulthen_amplitudes_grid(p, [energy], mass, ctrl))

@@ -7,9 +7,8 @@ energies, the WKB action and its region, the area behind the sech^2 bound, and
 the analytic resonances.  ``_Family`` answers each with an
 UnsupportedOperationError (asymptotes 0, E the only swept variable), so a
 family states only what it has: the delta potential is a distribution and
-exists only through its closed-form scattering results.  ``evaluate``,
-``asymptotic_values`` and the front ends of ``sweep``, ``wkb``, ``bound`` and
-``resonance`` call these methods.
+exists only through its closed-form scattering results.  The front ends of
+``sweep``, ``wkb``, ``bound`` and ``resonance`` call these methods.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import MethodResult, probabilities_from_amplitudes, unitarity_defect
+from .core import MethodResult
 from .errors import (
     DegenerateEnergyError,
     InvalidInputError,
@@ -75,11 +74,6 @@ def _grid_results(grid) -> list:
         error or MethodResult("exact", transmission, reflection, defect)
         for error, transmission, reflection, defect in zip(errors, *columns)
     ]
-
-
-def _from_amplitudes(amps) -> MethodResult:
-    prob = probabilities_from_amplitudes(amps)
-    return MethodResult("exact", prob.transmission, prob.reflection, unitarity_defect(prob))
 
 
 class _Family:
@@ -322,16 +316,7 @@ class Hulthen(_Family):
         return self.v0 / (np.exp(self.a * np.abs(x)) - self.q)
 
     def exact(self, energies, ctx) -> list:
-        # one lockstep 2F1 kernel call for all energies; _each takes them in order
-        amplitudes = iter(hulthen_amplitudes_grid(self, energies, ctx.mass, specfun.DEFAULT_SERIES))
-
-        def at(energy):
-            amps = next(amplitudes)
-            if isinstance(amps, QscatError):
-                raise amps
-            return _from_amplitudes(amps)
-
-        return _each(energies, at)
+        return _grid_results(hulthen_amplitudes_grid(self, energies, ctx.mass, specfun.DEFAULT_SERIES))
 
     def wkb_action(self, energy, solve_turning_points=False) -> float:
         # the fixed (-1, 1) window of the published recipe, split at the cusp of V at
@@ -349,13 +334,3 @@ class Hulthen(_Family):
 
 
 PotentialSpec = Union[Delta, Rectangular, Eckart, Hulthen]
-
-
-def evaluate(p: PotentialSpec, x):
-    """Pointwise potential value V(x); x may be a scalar or numpy array."""
-    return p.values(x)
-
-
-def asymptotic_values(p: PotentialSpec) -> tuple[float, float]:
-    """(V at x -> -inf, V at x -> +inf)."""
-    return p.asymptotes()

@@ -7,6 +7,7 @@ maxima that stay below 1 - 1e-6 are labeled peaks, not resonances.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -68,11 +69,18 @@ def analytic_resonances(
     (reflection: boundary k = 0); delta over k (no transmission resonances;
     reflection at k = 0); Eckart over v0 (transmission: v0 = -(hbar^2/2ma^2)
     n(n+1); no reflection resonances).  Anything else raises
-    UnsupportedOperationError; use numeric_resonances for those.
+    UnsupportedOperationError; use numeric_resonances for those.  A listing
+    whose locations or values leave double range raises InvalidInputError.
     """
     if n_max < 1:
         raise InvalidInputError(f"n_max must be >= 1, got {n_max!r}")
-    return p.resonances(sweep_var.lower(), n_max, ctx, kind, energy)
+    try:
+        listing = p.resonances(sweep_var.lower(), n_max, ctx, kind, energy)
+    except ArithmeticError as exc:
+        raise InvalidInputError(f"the analytic resonances overflow double range: {exc}") from None
+    if not all(math.isfinite(r.location) and math.isfinite(r.value) for r in listing.reports):
+        raise InvalidInputError("the analytic resonances leave double range")
+    return listing
 
 
 def golden_section_max(
@@ -83,7 +91,9 @@ def golden_section_max(
     h = b - a
     if h <= tol:
         return 0.5 * (a + b)
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    # a ratio below the smallest normal double leaves a bracket below the spacing of
+    # the doubles in it (h <= 2 max(|a|, |b|)), so it needs no more steps
+    steps = int(math.ceil(math.log(max(tol / h, sys.float_info.min)) / math.log(_INV_PHI)))
     c = a + _INV_PHI_SQ * h
     d = a + _INV_PHI * h
     yc = f(c)
@@ -119,8 +129,8 @@ def numeric_resonances(
     """
     if grid_n < 16:
         raise InvalidInputError(f"grid_n must be >= 16, got {grid_n!r}")
-    if refine_tol <= 0:
-        raise InvalidInputError(f"refine_tol must be positive, got {refine_tol!r}")
+    if not (math.isfinite(refine_tol) and refine_tol > 0):
+        raise InvalidInputError(f"refine_tol must be positive and finite, got {refine_tol!r}")
     lo, hi = domain
     if not lo < hi:
         raise InvalidInputError(f"bad domain {domain!r}")

@@ -11,7 +11,6 @@ blocks of terms that start short and grow.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -69,69 +68,51 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
-def _lanczos_loggamma(z, log=cmath.log):
-    # valid on Re z >= 0.5; z a complex or a numpy array (with log=np.log)
+def _lanczos_loggamma(z):
+    # valid on Re z >= 0.5
     w = z - 1.0
     x = _LANCZOS_COEFFS[0]
     for i in range(1, len(_LANCZOS_COEFFS)):
         x += _LANCZOS_COEFFS[i] / (w + i)
     t = w + _LANCZOS_G + 0.5
-    return _LOG_SQRT_TWO_PI + (w + 0.5) * log(t) - t + log(x)
+    return _LOG_SQRT_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(x)
 
 
-def _log_sin_pi_upper(z, exp=cmath.exp, log=cmath.log):
+def _log_sin_pi_upper(z):
     # analytic continuation of log sin(pi z) over Im z >= 0, anchored at z = 1/2;
     # writing sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}) keeps |e^{2 i pi z}| <= 1
     # there, so the principal log of the bracket never crosses a branch cut
-    w = exp(2j * math.pi * z)
-    return math.log(0.5) + 0.5j * math.pi - 1j * math.pi * z + log(1.0 - w)
+    w = np.exp(2j * math.pi * z)
+    return math.log(0.5) + 0.5j * math.pi - 1j * math.pi * z + np.log(1.0 - w)
 
 
 def log_gamma(z):
-    """Principal branch of log Gamma(z), for a complex z or elementwise on an array.
+    """Principal branch of log Gamma(z), elementwise on a numpy array; a complex z
+    is the one-element case.
 
     Lanczos approximation on Re z >= 0.5; the reflection formula (with an
-    unwound log-sin) continues it to the left half-plane.  On the cut
-    (negative real axis) the value is the limit from the upper half-plane.
-    Relative accuracy is ~1e-13 for |z| <= 100.  A scalar at a pole raises
-    PoleError; an array holds +inf there (1/Gamma = 0).  Array elements take
-    numpy's complex arithmetic, so they may differ from the scalar value in
-    the last bits.
+    unwound log-sin) continues it to the left half-plane, and conjugation to
+    the lower half of it.  On the cut (negative real axis) the value is the
+    limit from the upper half-plane.  Relative accuracy is ~1e-13 for
+    |z| <= 100.  An array holds +inf at a pole (1/Gamma = 0), where a scalar
+    raises PoleError.  Non-finite input raises InvalidInputError.
     """
-    if isinstance(z, np.ndarray):
-        return _log_gamma_array(np.asarray(z, dtype=np.complex128))
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidInputError(f"log_gamma argument must be finite, got {z!r}")
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"log_gamma pole at non-positive integer z = {z}")
-    if z.real >= 0.5:
-        return _lanczos_loggamma(z)
-    if z.imag >= 0.0:
-        return _LOG_PI - _log_sin_pi_upper(z) - _lanczos_loggamma(1.0 - z)
-    return log_gamma(z.conjugate()).conjugate()
-
-
-def _log_gamma_array(z: np.ndarray) -> np.ndarray:
-    # the scalar branches as masks: Lanczos right of Re z = 1/2, reflection in
-    # the upper half-plane left of it, conjugation below
-    if not np.isfinite(z).all():
-        raise InvalidInputError("log_gamma arguments must be finite")
-    left = z.real < 0.5
-    lower = left & (z.imag < 0.0)
-    up = np.where(lower, z.conj(), z)
+    array = np.asarray(z, dtype=np.complex128)
+    if not np.isfinite(array).all():
+        raise InvalidInputError(f"log_gamma arguments must be finite, got {z!r}")
+    left = array.real < 0.5
+    lower = left & (array.imag < 0.0)
+    up = np.where(lower, array.conj(), array)
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at a pole
-        out = _lanczos_loggamma(np.where(left, 1.0 - up, up), np.log)
-        log_sin = _log_sin_pi_upper(np.where(left, up, 0.5), np.exp, np.log)
-        out = np.where(left, _LOG_PI - log_sin - out, out)
+        out = _lanczos_loggamma(np.where(left, 1.0 - up, up))
+        out = np.where(left, _LOG_PI - _log_sin_pi_upper(np.where(left, up, 0.5)) - out, out)
     out = np.where(lower, out.conj(), out)
-    out[(z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))] = np.inf
-    return out
-
-
-def gamma(z) -> complex:
-    """exp(log_gamma(z)); convenience for amplitude formulas."""
-    return cmath.exp(log_gamma(z))
+    pole = (array.imag == 0.0) & (array.real <= 0.0) & (array.real == np.floor(array.real))
+    if isinstance(z, np.ndarray):
+        return np.where(pole, np.inf, out)
+    if pole:
+        raise PoleError(f"log_gamma pole at non-positive integer z = {z}")
+    return complex(out)
 
 
 def _hyp2f1_series(rows, z, rel_tol, max_terms):

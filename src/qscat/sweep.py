@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .wkb import wkb_for_potential
 METHOD_ORDER = ("exact", "wkb", "bound")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     variable_value: float
     results: Mapping[str, MethodResult]
     bound_gap: float | None = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
@@ -18,6 +19,35 @@ from scipy.integrate import solve_ivp
 
 from qscat.errors import InvalidInputError
 from qscat.specfun import log_gamma
+
+
+@dataclass(frozen=True)
+class Probabilities:
+    transmission: float
+    reflection: float
+
+
+def _require_finite(name: str, z: complex) -> None:
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InvalidInputError(f"non-finite amplitude component in {name}: {z!r}")
+
+
+def probabilities_from_amplitudes(a) -> Probabilities:
+    """Squared moduli T = |t|^2 and R = |r|^2 of a ``ScatteringAmplitudes``, in scalar
+    Python arithmetic: the reference that ``qscat.exact.probability_arrays`` follows
+    bit for bit at each finite point.  Non-finite amplitudes raise InvalidInputError.
+
+    Values are returned raw (no clamping) so that property tests see the
+    actual computed numbers; clamping to [0, 1] is a display concern.
+    """
+    _require_finite("t", complex(a.t))
+    _require_finite("r", complex(a.r))
+    return Probabilities(abs(complex(a.t)) ** 2, abs(complex(a.r)) ** 2)
+
+
+def unitarity_defect(p: Probabilities) -> float:
+    """|T + R - 1|; zero for exact elastic scattering."""
+    return abs(p.transmission + p.reflection - 1.0)
 
 
 def rectangular_matching(v0: float, a: float, energy: float, hbar=1.0, mass=1.0):

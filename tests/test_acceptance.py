@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import mp_hyp2f1, rectangular_bound_closed_form
+from oracles import mp_hyp2f1, probabilities_from_amplitudes, rectangular_bound_closed_form, unitarity_defect
 from qscat import (
     Delta,
     Eckart,
@@ -36,11 +36,9 @@ from qscat import (
     hulthen_amplitudes,
     log_gamma,
     numeric_resonances,
-    probabilities_from_amplitudes,
     rectangular_above,
     rectangular_below,
     bound_for_potential,
-    unitarity_defect,
     wkb_for_potential,
 )
 from qscat.cli import main

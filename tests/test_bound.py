@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rectangular_bound_closed_form
+from oracles import probabilities_from_amplitudes, rectangular_bound_closed_form
 from qscat import (
     Delta,
     Eckart,
     Hulthen,
     Rectangular,
-    asymptotic_values,
     bound_for_potential,
     eckart_transmission,
-    evaluate,
-    probabilities_from_amplitudes,
     rectangular_above,
     transmission_bound,
 )
@@ -91,7 +88,7 @@ class TestQuadratureBound:
         # |k0 - k^2/k0| handles negative k^2 inside the window; no inequality
         # against exact T is claimed below the barrier
         r = Rectangular(v0=1.0, a=1.0)
-        b = transmission_bound(lambda x: evaluate(r, x), 0.5, (-1.0, 1.0), ctx)
+        b = transmission_bound(lambda x: r.values(x), 0.5, (-1.0, 1.0), ctx)
         assert 0.0 < b.lower_bound < 1.0
 
     def test_evanescent_outside_channel_rejected(self, ctx):
@@ -133,9 +130,9 @@ class TestPerPotentialDispatch:
         # over +-100 length units the tails left out are below 1e-20 of the area
         energy = 2.5
         closed = bound_for_potential(p, energy, ctx)
-        v_inf = asymptotic_values(p)[1]
+        v_inf = p.asymptotes()[1]
         numeric = transmission_bound(
-            lambda x: evaluate(p, x), energy, (-100.0, 100.0), ctx, v_asymptotic=v_inf
+            lambda x: p.values(x), energy, (-100.0, 100.0), ctx, v_asymptotic=v_inf
         )
         assert closed.integral_value == pytest.approx(numeric.integral_value, rel=1e-9)
         assert closed.lower_bound == pytest.approx(numeric.lower_bound, rel=1e-9)

@@ -263,7 +263,8 @@ class TestSweep:
         assert first.read_bytes() == second.read_bytes()
 
     def test_round_trip_recompute(self, capsys, tmp_path):
-        from qscat import NATURAL_UNITS, probabilities_from_amplitudes, rectangular_above
+        from oracles import probabilities_from_amplitudes
+        from qscat import NATURAL_UNITS, rectangular_above
 
         out_file = tmp_path / "roundtrip.csv"
         run_cli(
@@ -396,6 +397,10 @@ RECT_BOUND_NAN = (
     "eval", "--potential", "rect", "--v0", "4e+158", "--a", "3e+132", "--energy", "3e-04",
     "--hbar", "3e-130", "--mass", "2e+71", "--method", "bound",
 )
+ECKART_R_CONVENTION = (
+    "eval", "--potential", "eckart", "--v0", "1", "--a", "1", "--energy", "2",
+    "--r-convention", "paper", "--hbar", "1e200",
+)
 
 # every float flag of each family; --energy, --hbar and --mass come on top
 FAMILY_FLAGS = {
@@ -426,6 +431,7 @@ def extreme_eval_argv(draw):
 @example(list(ECKART_THIN[:-4]))
 @example(list(ECKART_NAN))
 @example(list(RECT_BOUND_NAN[:-2]))
+@example(list(ECKART_R_CONVENTION))
 def test_extreme_inputs_give_numbers_or_err_cells(argv):
     """Any accepted input exits 0 with finite numbers or ERR:<code> cells (or 2 with one
     usage-error line), never a traceback or a warning, and the bound stays below T."""
@@ -503,6 +509,60 @@ def test_extreme_sweeps_give_numbers_or_err_cells(argv):
         exact, bound = cells["exact_T"], cells["bound_T"]
         if not (exact.startswith("ERR:") or bound.startswith("ERR:")):
             assert float(bound) <= float(exact) * (1.0 + 1e-9), cells
+
+
+RECT_SCAN = (
+    "resonances", "--potential", "rect", "--v0", "1", "--a", "1", "--var", "q", "--numeric",
+    "--lo", "0.1", "--hi", "50", "--grid-n", "16",
+)
+
+
+@st.composite
+def extreme_resonances_argv(draw):
+    family = draw(st.sampled_from(sorted(FAMILY_FLAGS)))
+    numeric = draw(st.booleans())
+    variable = draw(st.sampled_from(FAMILY_VARIABLES[family] if numeric else ("k", "q", "E", "V0")))
+    argv = ["resonances", "--potential", family, "--var", variable,
+            "--kind", draw(st.sampled_from(("transmission", "reflection")))]
+    for flag in (*FAMILY_FLAGS[family], "--energy", "--hbar", "--mass"):
+        argv += [flag, repr(draw(LOG_UNIFORM))]
+    if not numeric:
+        return argv + ["--n", str(draw(st.integers(1, 4)))]
+    lo, hi = sorted((draw(LOG_UNIFORM), draw(LOG_UNIFORM)))
+    return argv + ["--numeric", "--lo", repr(lo), "--hi", repr(hi), "--grid-n", "16"]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(extreme_resonances_argv())
+@example([*RECT_SCAN, "--refine-tol", "5e-324"])
+@example([*RECT_SCAN, "--refine-tol", "nan"])
+@example(["resonances", "--potential", "eckart", "--v0", "1", "--a", "1e-300", "--var", "V0", "--n", "3"])
+@example(["resonances", "--potential", "eckart", "--v0", "1", "--a", "1", "--var", "V0", "--n", "3",
+          "--hbar", "1e200"])
+@example(["resonances", "--potential", "rect", "--v0", "1", "--a", "1e-308", "--var", "q", "--n", "3"])
+def test_extreme_resonances_give_numbers_or_usage_error(argv):
+    """The resonances form of test_extreme_inputs_give_numbers_or_err_cells, analytic and
+    --numeric: every listed location and value is a finite number, or the run is one
+    usage-error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+        return
+    assert code == 0 and err.getvalue() == ""
+    header, *rows = out.getvalue().splitlines()
+    assert header == "kind,location,value,source,label,boundary"
+    for row in rows:
+        if row.startswith("# "):
+            continue
+        for cell in row.split(",")[1:3]:
+            if cell.startswith("ERR:"):
+                assert cell != "ERR:nonfinite", row
+            else:
+                assert math.isfinite(float(cell)), row
 
 
 @pytest.mark.parametrize("q", ["0.7", "0.99"])

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qscat import (
-    PhysicsContext,
-    Probabilities,
-    ScatteringAmplitudes,
-    probabilities_from_amplitudes,
-    unitarity_defect,
-)
+from oracles import Probabilities, probabilities_from_amplitudes, unitarity_defect
+from qscat import PhysicsContext, ScatteringAmplitudes
 from qscat.errors import InvalidInputError
 
 

@@ -4,16 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rectangular_matching, scalar_delta_amplitudes, scalar_rectangular_amplitudes
+from oracles import (
+    probabilities_from_amplitudes,
+    rectangular_matching,
+    scalar_delta_amplitudes,
+    scalar_rectangular_amplitudes,
+    unitarity_defect,
+)
 from qscat import (
     PhysicsContext,
     delta_amplitudes,
     delta_amplitudes_grid,
-    probabilities_from_amplitudes,
     rectangular_above,
     rectangular_amplitudes_grid,
     rectangular_below,
-    unitarity_defect,
 )
 from qscat.errors import InvalidInputError, WrongCaseError
 

@@ -8,7 +8,7 @@ from oracles import (
     mp_eckart_transmission,
     schrodinger_transmission,
 )
-from qscat import Eckart, bound_for_potential, eckart_reflection_paper, eckart_transmission, evaluate
+from qscat import Eckart, bound_for_potential, eckart_reflection_paper, eckart_transmission
 from qscat.errors import InvalidInputError, WrongCaseError
 
 
@@ -60,7 +60,7 @@ class TestTransmission:
     def test_against_ode_oracle(self, ctx):
         for v0 in (-0.5, 0.3, 1.0):
             e = Eckart(1.5, 0.0, v0, 1.0)
-            t_ref = schrodinger_transmission(lambda x: evaluate(e, x), 2.0, -40.0, 40.0)
+            t_ref = schrodinger_transmission(lambda x: e.values(x), 2.0, -40.0, 40.0)
             assert eckart_transmission(e, 2.0, ctx) == pytest.approx(t_ref, rel=1e-6)
 
     def test_asymmetric_direct_substitution(self, ctx):

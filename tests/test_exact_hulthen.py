@@ -4,15 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import mp_hulthen_probabilities
+from oracles import mp_hulthen_probabilities, probabilities_from_amplitudes, unitarity_defect
 from qscat import (
     Hulthen,
     SweepSpec,
     hulthen_amplitudes,
     hulthen_params,
-    probabilities_from_amplitudes,
     run_sweep,
-    unitarity_defect,
 )
 from qscat.errors import ConvergenceError, WrongCaseError
 from qscat.exact import _connection_route

@@ -9,9 +9,7 @@ from qscat import (
     Hulthen,
     PhysicsContext,
     Rectangular,
-    asymptotic_values,
     asymptotic_wavenumbers,
-    evaluate,
 )
 from qscat.errors import (
     DegenerateEnergyError,
@@ -24,49 +22,49 @@ from qscat.errors import (
 class TestEvaluate:
     def test_rectangular_inside_and_out(self):
         r = Rectangular(v0=1.0, a=1.0)
-        assert evaluate(r, 0.0) == 1.0
-        assert evaluate(r, 2.0) == 0.0
-        assert evaluate(r, 1.0) == 1.0  # edges belong to the barrier
-        assert evaluate(r, -1.0) == 1.0
+        assert r.values(0.0) == 1.0
+        assert r.values(2.0) == 0.0
+        assert r.values(1.0) == 1.0  # edges belong to the barrier
+        assert r.values(-1.0) == 1.0
 
     def test_rectangular_array(self):
         r = Rectangular(v0=2.0, a=0.5)
         xs = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        np.testing.assert_allclose(evaluate(r, xs), [0.0, 2.0, 2.0, 2.0, 0.0])
+        np.testing.assert_allclose(r.values(xs), [0.0, 2.0, 2.0, 2.0, 0.0])
 
     def test_hulthen_center_value(self):
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
-        assert evaluate(h, 0.0) == pytest.approx(10.0, rel=1e-14)
+        assert h.values(0.0) == pytest.approx(10.0, rel=1e-14)
 
     def test_hulthen_even_and_continuous(self, rng):
         h = Hulthen(v0=1.3, a=0.7, q=0.4)
         xs = rng.uniform(0.0, 8.0, size=200)
-        np.testing.assert_allclose(evaluate(h, xs), evaluate(h, -xs), rtol=1e-14)
+        np.testing.assert_allclose(h.values(xs), h.values(-xs), rtol=1e-14)
         eps = 1e-9
-        left, right = evaluate(h, -eps), evaluate(h, eps)
+        left, right = h.values(-eps), h.values(eps)
         center = h.v0 / (1.0 - h.q)
         assert left == pytest.approx(center, rel=1e-7)
         assert right == pytest.approx(center, rel=1e-7)
 
     def test_eckart_reaches_asymptotes(self):
         e = Eckart(v_minus_inf=2.0, v_plus_inf=1.0, v0=-1.0 / 9.0, a=3.0)
-        assert evaluate(e, 50.0 * e.a) == pytest.approx(1.0, abs=1e-6)
-        assert evaluate(e, -50.0 * e.a) == pytest.approx(2.0, abs=1e-6)
+        assert e.values(50.0 * e.a) == pytest.approx(1.0, abs=1e-6)
+        assert e.values(-50.0 * e.a) == pytest.approx(2.0, abs=1e-6)
 
     def test_delta_has_no_pointwise_values(self):
         with pytest.raises(UnsupportedOperationError):
-            evaluate(Delta(alpha=1.0), 0.0)
+            Delta(alpha=1.0).values(0.0)
 
 
 class TestAsymptoticValues:
     def test_short_range_potentials_vanish(self):
-        assert asymptotic_values(Rectangular(v0=5.0, a=1.0)) == (0.0, 0.0)
-        assert asymptotic_values(Hulthen(v0=1.0, a=0.5, q=0.9)) == (0.0, 0.0)
-        assert asymptotic_values(Delta(alpha=2.0)) == (0.0, 0.0)
+        assert Rectangular(v0=5.0, a=1.0).asymptotes() == (0.0, 0.0)
+        assert Hulthen(v0=1.0, a=0.5, q=0.9).asymptotes() == (0.0, 0.0)
+        assert Delta(alpha=2.0).asymptotes() == (0.0, 0.0)
 
     def test_eckart_keeps_stored_asymptotes(self):
         e = Eckart(v_minus_inf=2.0, v_plus_inf=1.0, v0=-1.0 / 9.0, a=3.0)
-        assert asymptotic_values(e) == (2.0, 1.0)
+        assert e.asymptotes() == (2.0, 1.0)
 
 
 class TestWavenumbers:

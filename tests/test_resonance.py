@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import probabilities_from_amplitudes
 from qscat import (
     Delta,
     Eckart,
@@ -11,7 +12,6 @@ from qscat import (
     analytic_resonances,
     hulthen_amplitudes,
     numeric_resonances,
-    probabilities_from_amplitudes,
     rectangular_above,
 )
 from qscat.errors import InvalidInputError, UnsupportedOperationError

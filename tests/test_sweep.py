@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import probabilities_from_amplitudes, unitarity_defect
 from qscat import (
     NATURAL_UNITS,
     Delta,
@@ -10,12 +11,11 @@ from qscat import (
     SeriesControl,
     SweepSpec,
     delta_amplitudes,
+    hulthen_amplitudes,
     hulthen_params,
-    probabilities_from_amplitudes,
     rectangular_above,
     rectangular_below,
     run_sweep,
-    unitarity_defect,
 )
 from qscat import exact, specfun
 from qscat.errors import InvalidInputError, QscatError
@@ -260,19 +260,27 @@ CLOSED_FORM_BATCHES = {
         (0.0, "degenerate", None),
         (1e200, "invalid", None),  # (hbar q)^2 overflows in the sweep map
     ]),
+    "hulthen-E": (Hulthen(1.0, 0.5, 0.999), "E", [
+        (2.0, None, None), (7.5, None, None),
+        (1.0, "wrongcase", "wrongcase"), (0.5, "wrongcase", "wrongcase"),  # E <= m
+        (1e300, "invalid", "invalid"),  # E^2 overflows
+        (1e4, "noconv", "noconv"),  # the direct series at q = 0.999 exceed the term cap
+    ]),
 }
 
 
 def _scalar(p, energy):
     if isinstance(p, Delta):
         return delta_amplitudes(p.alpha, energy, NATURAL_UNITS)
+    if isinstance(p, Hulthen):
+        return hulthen_amplitudes(p, energy, NATURAL_UNITS.mass)
     formula = rectangular_above if energy > p.v0 else rectangular_below
     return formula(p.v0, p.a, energy, NATURAL_UNITS)
 
 
 @pytest.mark.parametrize("case", sorted(CLOSED_FORM_BATCHES))
 def test_closed_form_rows_are_one_path_and_batch_independent(case):
-    """Each delta and rectangular row is the same alone and in a mixed batch, and is
+    """Each delta, rectangular and Hulthen row is the same alone and in a mixed batch, and is
     the public scalar function's result (or error) at that energy, bit for bit."""
     p, variable, points = CLOSED_FORM_BATCHES[case]
     spec = SweepSpec(p, variable, lo=1.0, hi=2.0, points=2)

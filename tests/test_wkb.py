@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import mp_wkb_transmission
+from oracles import mp_wkb_transmission, probabilities_from_amplitudes
 
 from qscat import (
     BarrierRegion,
@@ -15,10 +15,8 @@ from qscat import (
     Hulthen,
     QuadratureControl,
     Rectangular,
-    evaluate,
     find_turning_points,
     fixed_limits,
-    probabilities_from_amplitudes,
     rectangular_below,
     wkb_for_potential,
     wkb_transmission,
@@ -71,7 +69,7 @@ class TestHulthenQuadrature:
         energy = 0.5
         t = wkb_for_potential(h, energy, ctx)
         xs = np.linspace(-1.0, 1.0, 1_000_001)
-        action = np.trapezoid(np.sqrt(np.clip(evaluate(h, xs) - energy, 0.0, None)), xs)
+        action = np.trapezoid(np.sqrt(np.clip(h.values(xs) - energy, 0.0, None)), xs)
         expected = math.exp(-2.0 * math.sqrt(2.0) * action)
         assert abs(t - expected) / expected < 1e-8
 
@@ -109,8 +107,8 @@ class TestFamilyTurningPoints:
         region = eckart_turning_points(e, energy)
         assert region.source is RegionSource.SOLVED_TURNING_POINTS
         for x in (region.x1, region.x2):
-            assert abs(evaluate(e, x) - energy) <= 1e-12
-        scanned = find_turning_points(lambda x: evaluate(e, x), energy, (-50.0, 50.0))
+            assert abs(e.values(x) - energy) <= 1e-12
+        scanned = find_turning_points(lambda x: e.values(x), energy, (-50.0, 50.0))
         assert region.x1 == pytest.approx(scanned.x1, abs=1e-10)
         assert region.x2 == pytest.approx(scanned.x2, abs=1e-10)
 
@@ -150,7 +148,7 @@ class TestFamilyTurningPoints:
     def test_hulthen_fixed_window_ends_checked(self, ctx):
         # E just above V(+-1): every Gauss node lies inside the window, where V > E
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
-        energy = float(evaluate(h, 1.0)) + 1e-9
+        energy = float(h.values(1.0)) + 1e-9
         with pytest.raises(InvalidInputError):
             wkb_for_potential(h, energy, ctx)
 
@@ -165,10 +163,10 @@ class TestFamilyTurningPoints:
             lambda: wkb_for_potential(h, 1.0, ctx, solve_turning_points=True),
             lambda: wkb_for_potential(e, 1.0, ctx),
             lambda: wkb_transmission(
-                lambda x: evaluate(h, x), 1.0, fixed_limits(-1.0, 1.0), ctx, wkb.DEFAULT_QUADRATURE
+                lambda x: h.values(x), 1.0, fixed_limits(-1.0, 1.0), ctx, wkb.DEFAULT_QUADRATURE
             ),
             lambda: wkb_transmission(
-                lambda x: evaluate(h, x), 1.0, solved, ctx, wkb.DEFAULT_QUADRATURE
+                lambda x: h.values(x), 1.0, solved, ctx, wkb.DEFAULT_QUADRATURE
             ),
         ]
         for run in cases:
@@ -189,7 +187,7 @@ class TestGenericRegion:
         r = Rectangular(v0=1.0, a=1.0)
         region = fixed_limits(-2.0, 2.0)  # V = 0 < E outside the barrier
         with pytest.raises(InvalidInputError):
-            wkb_transmission(lambda x: evaluate(r, x), 0.5, region, ctx)
+            wkb_transmission(lambda x: r.values(x), 0.5, region, ctx)
 
     def test_tiny_negative_noise_clamped(self, ctx):
         region = fixed_limits(0.0, 1.0)
@@ -200,18 +198,18 @@ class TestGenericRegion:
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
         ctrl = QuadratureControl(abs_tol=1e-15, max_depth=3)
         with pytest.raises(ConvergenceError) as exc_info:
-            wkb_transmission(lambda x: evaluate(h, x), 0.5, fixed_limits(-1.0, 1.0), ctx, ctrl)
+            wkb_transmission(lambda x: h.values(x), 0.5, fixed_limits(-1.0, 1.0), ctx, ctrl)
         assert exc_info.value.estimate is not None
 
     def test_rounding_noise_stops_refinement(self):
         # an action of ~3.5e7 carries rounding noise above abs_tol; refinement
         # must give up with ConvergenceError instead of halving without end
         code = (
-            "from qscat import NATURAL_UNITS, Hulthen, evaluate, fixed_limits, wkb_transmission\n"
+            "from qscat import NATURAL_UNITS, Hulthen, fixed_limits, wkb_transmission\n"
             "from qscat.errors import ConvergenceError\n"
             "h = Hulthen(1e14, 0.5, 0.9)\n"
             "try:\n"
-            "    wkb_transmission(lambda x: evaluate(h, x), 1.0, fixed_limits(-1, 1), NATURAL_UNITS)\n"
+            "    wkb_transmission(lambda x: h.values(x), 1.0, fixed_limits(-1, 1), NATURAL_UNITS)\n"
             "except ConvergenceError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit('no ConvergenceError')\n"
@@ -241,7 +239,7 @@ class TestTurningPoints:
         energy = 0.5
         edge = hulthen_turning_point(h, energy)
         assert edge == pytest.approx(2.0 * math.log(2.9), rel=1e-12)
-        region = find_turning_points(lambda x: evaluate(h, x), energy, (-6.0, 6.0))
+        region = find_turning_points(lambda x: h.values(x), energy, (-6.0, 6.0))
         assert region.source is RegionSource.SOLVED_TURNING_POINTS
         assert region.x1 == pytest.approx(-edge, abs=1e-10)
         assert region.x2 == pytest.approx(edge, abs=1e-10)
@@ -249,19 +247,19 @@ class TestTurningPoints:
     def test_eckart_residuals(self, ctx):
         e = Eckart(v_minus_inf=0.0, v_plus_inf=0.0, v0=3.0, a=1.0)
         energy = 1.0
-        region = find_turning_points(lambda x: evaluate(e, x), energy, (-50.0, 50.0))
-        assert abs(evaluate(e, region.x1) - energy) < 1e-10
-        assert abs(evaluate(e, region.x2) - energy) < 1e-10
+        region = find_turning_points(lambda x: e.values(x), energy, (-50.0, 50.0))
+        assert abs(e.values(region.x1) - energy) < 1e-10
+        assert abs(e.values(region.x2) - energy) < 1e-10
 
     def test_no_barrier(self):
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
         with pytest.raises(NoBarrierError):
-            find_turning_points(lambda x: evaluate(h, x), 20.0, (-6.0, 6.0))
+            find_turning_points(lambda x: h.values(x), 20.0, (-6.0, 6.0))
 
     def test_endpoint_must_be_allowed(self):
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
         with pytest.raises(NoBarrierError):
-            find_turning_points(lambda x: evaluate(h, x), 0.5, (-0.5, 0.5))
+            find_turning_points(lambda x: h.values(x), 0.5, (-0.5, 0.5))
 
 
 class TestAccuracyTrend:
