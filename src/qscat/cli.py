@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .core import PhysicsContext
+from .core import PhysicsContext, each, method_result
 from .errors import QscatError, UnsupportedOperationError
 from .potentials import Delta, Eckart, Hulthen, PotentialSpec, Rectangular
 from .exact import eckart_reflection_paper
@@ -205,18 +204,19 @@ def _cmd_eval(args) -> int:
     potential = _build_potential(args)
     ctx = _build_ctx(args)
     methods = frozenset(args.method or ["exact"])
+    convention = getattr(args, "r_convention", None)
+    if convention and not isinstance(potential, Eckart):
+        raise QscatError("--r-convention applies to --potential eckart only")
     results, bound_gap = evaluate_methods(potential, args.energy, methods, ctx)
     header = ["energy"] + _method_columns(methods)
     cells = list(_table_rows([SweepRow(args.energy, results, bound_gap)], methods)[0])
-    if getattr(args, "r_convention", None) and isinstance(potential, Eckart):
-        header.append(f"exact_R_{args.r_convention}")
-        try:
-            r_alt = eckart_reflection_paper(potential, args.energy, ctx, args.r_convention)
-            cells.append(format_number(r_alt) if math.isfinite(r_alt) else "ERR:invalid")
-        except QscatError as exc:
-            cells.append(f"ERR:{exc.code}")
-        except ArithmeticError:  # intermediates leave double range
-            cells.append("ERR:invalid")
+    if convention:
+        header.append(f"exact_R_{convention}")
+        (r_alt,) = each(lambda energy: method_result(
+            "exact", None, eckart_reflection_paper(potential, energy, ctx, convention)
+        ), [args.energy])
+        cells.append(f"ERR:{r_alt.code}" if isinstance(r_alt, QscatError)
+                     else format_number(r_alt.reflection))
     print(",".join(header))
     print(",".join(cells))
     return 0

@@ -1,4 +1,4 @@
-"""Shared domain types.
+"""Shared domain types, and the one rule that makes a failed point a value.
 
 Complex amplitudes are plain Python ``complex`` values.  Natural units
 (hbar = m = 1) are the default everywhere and can be overridden through
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, QscatError
 
 
 @dataclass(frozen=True)
@@ -52,3 +52,25 @@ class MethodResult(NamedTuple):
     reflection: float | None = None
     defect: float | None = None
     error: str | None = None
+
+
+def method_result(method: str, *values: float | None) -> MethodResult | InvalidInputError:
+    """MethodResult(method, *values) for values (T, R, defect) or the first of them, or
+    an InvalidInputError when one that is not None is not finite."""
+    if all(value is None or math.isfinite(value) for value in values):
+        return MethodResult(method, *values)
+    return InvalidInputError(f"the {method} result is not finite")
+
+
+def each(f, items) -> list:
+    """f(item) at each item, or the error it raises there: a QscatError as it is, an
+    ArithmeticError (intermediates that leave double range) as an InvalidInputError."""
+    out = []
+    for item in items:
+        try:
+            out.append(f(item))
+        except QscatError as exc:
+            out.append(exc)
+        except ArithmeticError as exc:
+            out.append(InvalidInputError(f"intermediates leave double range: {exc}"))
+    return out

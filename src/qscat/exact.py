@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicsContext, ScatteringAmplitudes
+from .core import PhysicsContext, ScatteringAmplitudes, each
 from .errors import (
     ConvergenceError,
     DegenerateEnergyError,
@@ -124,20 +124,15 @@ def _unit_phase(y):
 
 def _amplitude_grid(energies: list, t, r, checks: list, errors: list | None = None):
     """(t, r, errors) of a closed-form grid: t and r, (real, imag) pairs of arrays, as
-    complex arrays and, per point, None or its error: the one ``errors`` already
-    holds for it (an ArithmeticError, an overflow of double range, becomes an
-    InvalidInputError), else that of the first of ``checks`` (mask, error class,
+    complex arrays and, per point, None or its error: the QscatError ``errors``
+    already holds for it, else that of the first of ``checks`` (mask, error class,
     message) that flags it.  A point whose t or r is not finite is invalid."""
     t_c, r_c = np.empty(len(energies), np.complex128), np.empty(len(energies), np.complex128)
     t_c.real, t_c.imag = t
     r_c.real, r_c.imag = r
     leaves = ~(np.isfinite(t_c) & np.isfinite(r_c))
     checks = [*checks, (leaves, InvalidInputError, "amplitudes at energy {!r} leave double range")]
-    errors = [
-        InvalidInputError(f"energy {energy!r} overflows double range: {error}")
-        if isinstance(error, ArithmeticError) else error
-        for energy, error in zip(energies, errors or [None] * len(energies))
-    ]
+    errors = errors or [None] * len(energies)
     for mask, error, message in checks:
         for i in np.flatnonzero(mask).tolist():
             if errors[i] is None:
@@ -525,28 +520,28 @@ def hulthen_amplitudes_grid(p, energies, mass: float = 1.0, ctrl: SeriesControl 
     """
     energies = list(energies)
     t, r = np.full((2, len(energies)), np.nan, np.complex128)
-    params, errors, direct, connection = [None] * len(energies), [None] * len(energies), [], []
-    for i, energy in enumerate(energies):
-        try:
-            params[i] = hulthen_params(p, energy, mass)
-        except (QscatError, ArithmeticError) as exc:
-            errors[i] = exc
-            continue
-        (connection if _connection_route(params[i]) else direct).append(i)
+    params = each(lambda energy: hulthen_params(p, energy, mass), energies)
+    errors = [par if isinstance(par, QscatError) else None for par in params]
+    direct, connection = [], []
+    for i, error in enumerate(errors):
+        if error is None:
+            (connection if _connection_route(params[i]) else direct).append(i)
     routes = ((direct, _direct_factors, p.q), (connection, _connection_factors, 1.0 - p.q))
     for points, route, z in routes:
         for j in range(0, len(points), _BATCH_POINTS):
             batch = points[j : j + _BATCH_POINTS]
             values = route([row for i in batch for row in _factor_rows(params[i])], p.q, ctrl)
-            for k, i in enumerate(batch):
-                factors = values[6 * k : 6 * k + 6]
-                try:
-                    for value, converged, last in factors:
-                        if not converged:
-                            raise _convergence_error(value, last, z, ctrl)
-                    t[i], r[i] = _hulthen_assemble(params[i], *(f[0] for f in factors))
-                except (QscatError, ArithmeticError) as exc:
-                    errors[i] = exc
+
+            def assemble(k):
+                # sets t and r of the batch's k-th point; what it raises is its error
+                factors, i = values[6 * k : 6 * k + 6], batch[k]
+                for value, converged, last in factors:
+                    if not converged:
+                        raise _convergence_error(value, last, z, ctrl)
+                t[i], r[i] = _hulthen_assemble(params[i], *(f[0] for f in factors))
+
+            for i, error in zip(batch, each(assemble, range(len(batch)))):
+                errors[i] = error
     return _amplitude_grid(energies, (t.real, t.imag), (r.real, r.imag), [], errors)
 
 

@@ -2,13 +2,14 @@
 
 Every family answers the same questions: V(x) on scalars or numpy arrays
 (``values``), the asymptotes, the swept variables and how a value of one maps
-to a (potential, energy) point (``sweep_map``), the exact result at a list of
-energies, the WKB action and its region, the area behind the sech^2 bound, and
-the analytic resonances.  ``_Family`` answers each with an
-UnsupportedOperationError (asymptotes 0, E the only swept variable), so a
-family states only what it has: the delta potential is a distribution and
-exists only through its closed-form scattering results.  The front ends of
-``sweep``, ``wkb``, ``bound`` and ``resonance`` call these methods.
+to a (potential, energy) point (``sweep_map``), the exact, WKB and bound results
+at a list of energies (``wkb`` and ``bound`` are shared, pointwise on
+``wkb_for_potential`` and ``bound_for_potential``), the WKB action and its
+region, the area behind the sech^2 bound, and the analytic resonances.
+``_Family`` answers the rest with an UnsupportedOperationError (asymptotes 0,
+E the only swept variable), so a family states only what it has: the delta
+potential is a distribution and exists only through its closed-form results.
+The front ends of ``sweep``, ``wkb``, ``bound`` and ``resonance`` call these methods.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import MethodResult
+from .bound import bound_for_potential
+from .core import each, method_result
 from .errors import (
     DegenerateEnergyError,
     InvalidInputError,
-    QscatError,
     UnsupportedOperationError,
     WrongCaseError,
 )
@@ -51,37 +52,34 @@ _REFLECTION_AT_K0 = ResonanceListing(
 )
 
 
-def _each(energies, formula) -> list:
-    """formula(energy) at each energy, or the QscatError it raises there; an
-    overflow of double range becomes an InvalidInputError."""
-    out = []
-    for energy in energies:
-        try:
-            out.append(formula(energy))
-        except QscatError as exc:
-            out.append(exc)
-        except ArithmeticError as exc:
-            out.append(InvalidInputError(f"energy {energy!r} overflows double range: {exc}"))
-    return out
-
-
 def _grid_results(grid) -> list:
     """The exact MethodResult at each point of a closed-form grid (t, r, errors), or
     the point's error."""
     t, r, errors = grid
     columns = (x.tolist() for x in probability_arrays(t, r))
     return [
-        error or MethodResult("exact", transmission, reflection, defect)
+        error or method_result("exact", transmission, reflection, defect)
         for error, transmission, reflection, defect in zip(errors, *columns)
     ]
 
 
 class _Family:
-    """What a family lacks.  Each family also defines ``exact(energies, ctx)``: one
-    MethodResult or QscatError per energy.  The 2F1 series and the quadrature run
-    on ``specfun.DEFAULT_SERIES`` and ``wkb.DEFAULT_QUADRATURE``, read at each call."""
+    """What a family lacks, and the WKB and bound every family has.  ``exact`` (each
+    family's own), ``wkb`` and ``bound`` return one MethodResult or QscatError per
+    energy.  The 2F1 series and the quadrature run on ``specfun.DEFAULT_SERIES`` and
+    ``wkb.DEFAULT_QUADRATURE``, read at each call."""
 
     variables: ClassVar[tuple[str, ...]] = ("E",)
+
+    def wkb(self, energies, ctx) -> list:
+        """wkb_for_potential at each energy, over the region the family chooses."""
+        return each(lambda energy: method_result("wkb", wkb.wkb_for_potential(self, energy, ctx)),
+                    energies)
+
+    def bound(self, energies, ctx) -> list:
+        """The sech^2 lower bound of bound_for_potential at each energy."""
+        return each(lambda energy: method_result(
+            "bound", bound_for_potential(self, energy, ctx).lower_bound), energies)
 
     def values(self, x):
         """V(x); x may be a scalar or a numpy array."""
@@ -246,9 +244,9 @@ class Eckart(_Family):
         def at(energy):
             t = eckart_transmission(self, energy, ctx)
             # unitarity is mandatory for the elastic channel: report (T, 1 - T)
-            return MethodResult("exact", transmission=t, reflection=1.0 - t, defect=0.0)
+            return method_result("exact", t, 1.0 - t, 0.0)
 
-        return _each(energies, at)
+        return each(at, energies)
 
     def wkb_action(self, energy, solve_turning_points=False) -> float:
         # always between the closed-form turning points: no conventional fixed window
@@ -316,6 +314,8 @@ class Hulthen(_Family):
         return self.v0 / (np.exp(self.a * np.abs(x)) - self.q)
 
     def exact(self, energies, ctx) -> list:
+        if ctx.hbar != 1.0:  # the amplitudes are written in units with hbar = 1
+            return [UnsupportedOperationError("the Hulthen amplitudes need hbar = 1")] * len(energies)
         return _grid_results(hulthen_amplitudes_grid(self, energies, ctx.mass, specfun.DEFAULT_SERIES))
 
     def wkb_action(self, energy, solve_turning_points=False) -> float:

@@ -99,15 +99,20 @@ def golden_section_max(
     yc = f(c)
     yd = f(d)
     for _ in range(steps):
+        # a new point not strictly inside means the bracket is at the spacing of doubles
         if yc > yd:
             b, d, yd = d, c, yc
             h *= _INV_PHI
             c = a + _INV_PHI_SQ * h
+            if not a < c < d:
+                break
             yc = f(c)
         else:
             a, c, yc = c, d, yd
             h *= _INV_PHI
             d = a + _INV_PHI * h
+            if not c < d < b:
+                break
             yd = f(d)
     return 0.5 * (a + b)
 

@@ -1,10 +1,10 @@
 """Grid evaluation engine producing cross-method rows (exact vs WKB vs bound).
 
-Rows are evaluated as one batch (one exact call per distinct potential, which
-runs the Hulthen 2F1 series in lockstep), yet each row depends only on its own
-grid value, so identical inputs give identical output in any order or batch.
-Per-point failures, overflows included, are recorded in the row rather than
-aborting the sweep.
+Rows are evaluated as one batch: each distinct potential makes one call per method
+(``p.exact``, ``p.wkb``, ``p.bound``) for all of its energies.  Yet each row depends
+only on its own grid value, so identical inputs give identical output in any order
+or batch.  A point that fails, in the sweep map or a method, is an error code in its
+row (the rule is ``core.each`` and ``core.method_result``), not an aborted sweep.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .bound import bound_for_potential
-from .core import NATURAL_UNITS, MethodResult, PhysicsContext
+from .core import NATURAL_UNITS, MethodResult, PhysicsContext, each
 from .errors import InvalidInputError, QscatError
 from .potentials import PotentialSpec
-from .wkb import wkb_for_potential
 
 METHOD_ORDER = ("exact", "wkb", "bound")
 
@@ -31,55 +29,24 @@ class SweepRow(NamedTuple):
     gap_marker: bool = False
 
 
-def _point(to_point, x) -> tuple:
-    """to_point(x), or (None, exc) for the error it raises."""
-    try:
-        return to_point(x)
-    except (QscatError, ArithmeticError) as exc:
-        return None, exc
-
-
-def _finite(x: float | None) -> bool:
-    return x is None or math.isfinite(x)
-
-
 def _evaluate_pairs(pairs, methods, ctx) -> list[tuple[dict, float | None]]:
-    """evaluate_methods at each (potential, energy) pair, or (None, exc): exc for every
-    method.  Each distinct potential makes one exact call for all of its energies.
-    A result whose T, R or defect is not finite becomes ``invalid``."""
-    exact = {}
-    if "exact" in methods:
-        groups: dict = {}
-        for i, (p, _) in enumerate(pairs):
-            if p is not None:
-                groups.setdefault(p, []).append(i)
-        for p, points in groups.items():
-            exact.update(zip(points, p.exact([pairs[i][1] for i in points], ctx)))
+    """evaluate_methods at each (potential, energy) pair, or at a QscatError in its
+    place, whose code every method then reports.  Each distinct potential makes one
+    call per method for all of its energies."""
+    ordered = [m for m in METHOD_ORDER if m in methods]
+    rows = [{m: MethodResult(m, error=pair.code) for m in ordered}
+            if isinstance(pair, QscatError) else {} for pair in pairs]
+    groups: dict = {}
+    for i, pair in enumerate(pairs):
+        if not isinstance(pair, QscatError):
+            groups.setdefault(pair[0], []).append(i)
+    for p, points in groups.items():
+        energies = [pairs[i][1] for i in points]
+        for m in ordered:
+            for i, res in zip(points, getattr(p, m)(energies, ctx)):
+                rows[i][m] = MethodResult(m, error=res.code) if isinstance(res, QscatError) else res
     out = []
-    for i, (p, energy) in enumerate(pairs):
-        results: dict[str, MethodResult] = {}
-        for method in METHOD_ORDER:
-            if method not in methods:
-                continue
-            try:
-                if p is None:
-                    raise energy
-                if method == "exact":
-                    result = exact[i]
-                    if isinstance(result, QscatError):
-                        raise result
-                elif method == "wkb":
-                    result = MethodResult("wkb", wkb_for_potential(p, energy, ctx))
-                else:
-                    result = MethodResult("bound", bound_for_potential(p, energy, ctx).lower_bound)
-                if not (_finite(result.transmission) and _finite(result.reflection)
-                        and _finite(result.defect)):
-                    raise InvalidInputError(f"the {method} result is not finite")
-                results[method] = result
-            except (QscatError, ArithmeticError) as exc:
-                # an ArithmeticError is an input whose intermediates leave double range
-                code = exc.code if isinstance(exc, QscatError) else InvalidInputError.code
-                results[method] = MethodResult(method, error=code)
+    for results in rows:
         exact_res, bound_res = results.get("exact"), results.get("bound")
         gap = exact_res and bound_res and exact_res.error is None and bound_res.error is None
         out.append((results, exact_res.transmission - bound_res.transmission if gap else None))
@@ -97,8 +64,7 @@ def evaluate_methods(
     Physics-level failures and overflows (``invalid``) become error codes on the
     affected method's result; returns (results by method, exact-minus-bound gap or None).
     """
-    pair = _point(p.sweep_map("E", ctx, {}), energy)
-    return _evaluate_pairs([pair], methods, ctx)[0]
+    return _evaluate_pairs(each(p.sweep_map("E", ctx, {}), [energy]), methods, ctx)[0]
 
 
 @dataclass(frozen=True)
@@ -141,12 +107,11 @@ def sweep_rows(spec: SweepSpec, xs: list[float]) -> list[SweepRow]:
     not used.  Row i depends on xs[i] alone.  A point with no (potential, energy),
     such as the rectangular E = v0 where both exact formulas are singular, gets
     gap_marker and its error everywhere."""
-    to_point = spec.potential.sweep_map(spec.variable, spec.ctx, spec.fixed)
-    pairs = [_point(to_point, x) for x in xs]
+    pairs = each(spec.potential.sweep_map(spec.variable, spec.ctx, spec.fixed), xs)
     evaluated = _evaluate_pairs(pairs, spec.methods, spec.ctx)
     return [
-        SweepRow(x, results, bound_gap=gap, gap_marker=p is None)
-        for x, (p, _), (results, gap) in zip(xs, pairs, evaluated)
+        SweepRow(x, results, bound_gap=gap, gap_marker=isinstance(pair, QscatError))
+        for x, pair, (results, gap) in zip(xs, pairs, evaluated)
     ]
 
 

@@ -169,6 +169,28 @@ class TestEval:
         header = out.strip().splitlines()[0]
         assert header.endswith("exact_R_paper")
 
+    def test_r_convention_needs_eckart(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--potential", "rect", "--v0", "1", "--a", "1", "--energy", "2",
+            "--r-convention", "paper",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_hulthen_exact_needs_unit_hbar(self, capsys):
+        # the Hulthen amplitudes are written with hbar = 1; the bound takes any hbar
+        argv = ("eval", *HULTHEN, "--energy", "2", "--method", "exact", "--method", "bound")
+        header = "energy,exact_T,exact_R,exact_defect,bound_T,bound_gap\n"
+        assert run_cli(capsys, *argv, "--hbar", "1") == (0, header + (
+            "2.00000000000,0.07180277379142586,0.9281972262084385,1.3566925360919413e-13,"
+            "0.00014374221471182873,0.07165903157671402\n"
+        ), "")
+        assert run_cli(capsys, *argv, "--hbar", "2") == (0, header + (
+            "2.00000000000,ERR:unsupported,ERR:unsupported,ERR:unsupported,"
+            "0.02369442973023314,ERR:na\n"
+        ), "")
+
     def test_eckart_paper_reflection_large_arguments(self, capsys):
         # pi a (k + w) ~ 1780: cosh alone would overflow a double
         code, out, _ = run_cli(

@@ -193,3 +193,16 @@ class TestGoldenSection:
         a = golden_section_max(f, 0.0, 1.0, 1e-12)
         b = golden_section_max(f, 0.0, 1.0, 1e-12)
         assert a == b
+
+    def test_stops_once_the_bracket_stops_shrinking(self):
+        # at tol = 1e-300 the bracket reaches the spacing of the doubles near 1.2345
+        # after ~75 steps; running on re-evaluated the same few points ~1400 times
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -((x - 1.2345) ** 2)
+
+        loc = golden_section_max(f, 1.0, 1.5, 1e-300)
+        assert loc == pytest.approx(1.2345, abs=1e-15)
+        assert len(calls) == len(set(calls)) < 80

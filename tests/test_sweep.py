@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,20 +9,23 @@ from qscat import (
     Delta,
     Eckart,
     Hulthen,
+    PhysicsContext,
     Rectangular,
     SeriesControl,
     SweepSpec,
+    bound_for_potential,
     delta_amplitudes,
     hulthen_amplitudes,
     hulthen_params,
     rectangular_above,
     rectangular_below,
     run_sweep,
+    wkb_for_potential,
 )
 from qscat import exact, specfun
 from qscat.errors import InvalidInputError, QscatError
 from qscat.exact import _connection_route
-from qscat.sweep import sweep_rows
+from qscat.sweep import METHOD_ORDER, sweep_rows
 
 
 def _point_by_point(spec):
@@ -305,3 +310,85 @@ def test_closed_form_rows_are_one_path_and_batch_independent(case):
             with pytest.raises(QscatError) as raised:
                 _scalar(p, energy)
             assert raised.value.code == scalar_code
+
+
+# (method, potential, ctx, [(energy, code of its row)]): numbers and every error code
+# each method gives, mixed in one batch
+METHOD_BATCHES = {
+    "wkb-rect": ("wkb", Rectangular(1.0, 1.0), NATURAL_UNITS, [
+        (0.5, None), (0.999, None), (2.0, "wrongcase"), (0.0, "wrongcase"),  # E >= v0 or E <= 0
+    ]),
+    "wkb-eckart": ("wkb", Eckart(0.0, 0.0, 1.0, 1.0), NATURAL_UNITS, [
+        (0.5, None), (2.0, "nobarrier"), (-0.5, "nobarrier"),
+    ]),
+    "wkb-eckart-action": ("wkb", Eckart(0.0, 0.0, 1e134, 1e250), NATURAL_UNITS, [
+        (1e-79, "invalid"),  # the action overflows
+        (1e200, "nobarrier"),
+    ]),
+    "wkb-hulthen": ("wkb", Hulthen(1.0, 0.5, 0.9), NATURAL_UNITS, [
+        (0.02, None), (0.5, None), (5.0, "invalid"),  # V < E in the fixed window
+    ]),
+    "wkb-delta": ("wkb", Delta(1.0), NATURAL_UNITS, [(0.5, "unsupported"), (2.0, "unsupported")]),
+    "bound-rect": ("bound", Rectangular(1.0, 1.0), NATURAL_UNITS, [
+        (0.5, None), (2.0, None), (0.0, "invalid"), (-1.0, "invalid"),  # evanescent
+    ]),
+    "bound-rect-nan": ("bound", Rectangular(1e300, 1e300), NATURAL_UNITS, [
+        (1.0, None), (1e308, "invalid"),  # inf / inf in the sech^2 exponent
+    ]),
+    "bound-eckart": ("bound", Eckart(0.0, 0.0, 1.0, 1.0), NATURAL_UNITS, [
+        (0.5, None), (2.0, None), (-1.0, "invalid"),
+    ]),
+    "bound-eckart-unequal": ("bound", Eckart(1.5, 0.0, 1.0, 1.0), NATURAL_UNITS, [
+        (2.0, "unsupported"), (0.5, "unsupported"),
+    ]),
+    "bound-hulthen-hbar": ("bound", Hulthen(1.0, 0.5, 0.9), PhysicsContext(hbar=1e-200), [
+        (2.0, "invalid"), (0.5, "invalid"),  # hbar^2 underflows: m / hbar^2 divides by zero
+    ]),
+    "bound-delta": ("bound", Delta(1.0), NATURAL_UNITS, [(0.5, "unsupported")]),
+}
+
+
+def _scalar_method(method, p, energy, ctx):
+    """(value, code) of the public scalar function of method at energy."""
+    try:
+        if method == "wkb":
+            value = wkb_for_potential(p, energy, ctx)
+        else:
+            value = bound_for_potential(p, energy, ctx).lower_bound
+    except QscatError as exc:
+        return None, exc.code
+    except ArithmeticError:
+        return None, "invalid"
+    return value, None if math.isfinite(value) else "invalid"
+
+
+@pytest.mark.parametrize("case", sorted(METHOD_BATCHES))
+def test_wkb_and_bound_rows_are_batch_independent(case):
+    """Each WKB and bound row is the same alone and in a mixed batch, and is the public
+    scalar function's value (or error code) at that energy, bit for bit."""
+    method, p, ctx, points = METHOD_BATCHES[case]
+    spec = SweepSpec(p, "E", lo=1.0, hi=2.0, points=2, methods=frozenset({method}), ctx=ctx)
+    batch = sweep_rows(spec, [energy for energy, _ in points])
+    for (energy, code), row in zip(points, batch):
+        assert sweep_rows(spec, [energy]) == [row]
+        res = row.results[method]
+        value, scalar_code = _scalar_method(method, p, energy, ctx)
+        assert res.error == code == scalar_code
+        if code is None:
+            assert res.transmission == value
+
+
+def test_one_family_call_per_potential_and_method(monkeypatch):
+    calls = []
+    for method in METHOD_ORDER:
+        def recording(self, energies, ctx, original=getattr(Eckart, method), method=method):
+            calls.append((self.v0, method, len(energies)))
+            return original(self, energies, ctx)
+
+        monkeypatch.setattr(Eckart, method, recording)
+    spec = SweepSpec(Eckart(0.0, 0.0, 1.0, 1.0), "V0", lo=1.0, hi=2.0, points=2,
+                     methods=frozenset(METHOD_ORDER), fixed={"energy": 0.5})
+    sweep_rows(spec, [1.0, 2.0, 1.0, 3.0, 2.0, 1.0])
+    assert sorted(calls) == sorted(
+        (v0, method, n) for v0, n in ((1.0, 3), (2.0, 2), (3.0, 1)) for method in METHOD_ORDER
+    )
