@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -436,11 +437,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; the one place where a QscatError becomes a usage error
-    (exit 2) and an OSError an I/O error (exit 3)."""
+    """Run one subcommand; the one place where a QscatError (or a non-finite --energy)
+    becomes a usage error (exit 2) and an OSError an I/O error (exit 3)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(_expand_spec_files(argv))
+        if not math.isfinite(getattr(args, "energy", None) or 0.0):
+            raise QscatError(f"--energy must be finite, got {args.energy!r}")
         return args.run(args)
     except QscatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,10 +183,12 @@ def gauss_2f1(a, b, c, z: float, ctrl: SeriesControl = DEFAULT_SERIES) -> comple
     consecutive terms (guards against transient dips of the complex
     Pochhammer ratios).
 
-    Raises PoleError when c is a non-positive integer and ConvergenceError
-    (carrying the last term magnitude) when max_terms is exhausted.
+    Raises InvalidInputError for a non-finite a, b or c or z outside [0, 1), PoleError
+    for c a non-positive integer, ConvergenceError (with the last term) past max_terms.
     """
     a, b, c = complex(a), complex(b), complex(c)
+    if not np.isfinite((a, b, c)).all():
+        raise InvalidInputError(f"2F1 parameters must be finite, got a={a}, b={b}, c={c}")
     z = float(z)
     if not 0.0 <= z < 1.0:
         raise InvalidInputError(f"series argument must satisfy 0 <= z < 1, got {z!r}")

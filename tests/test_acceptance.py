@@ -86,9 +86,9 @@ def test_criterion_1_unitarity_suite(rng):
         worst["delta"] < 1e-9
         and worst["rect_above"] < 1e-9
         and worst["rect_below"] < 1e-9
-        and worst["hulthen"] < 1e-6
+        and worst["hulthen"] < 1e-9
     )
-    assert _report(1, "unitarity (delta/rect I/rect II < 1e-9, hulthen grid < 1e-6)", ok), worst
+    assert _report(1, "unitarity (delta/rect I/rect II/hulthen grid < 1e-9)", ok), worst
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def test_criterion_8_figure_shapes(figure_dirs):
     # fig10: unitarity on every emitted row
     for letter in "ab":
         cols = _read_csv(figure_dirs["fig10"] / f"fig10{letter}.csv")
-        if not all(d < 1e-6 for d in cols["exact_defect"]):
+        if not all(d < 1e-9 for d in cols["exact_defect"]):
             ok = False
     # fig11: WKB transmission drops as the barrier grows, pointwise
     panels = [_read_csv(figure_dirs["fig11"] / f"fig11{letter}.csv")["wkb_T"] for letter in "abcd"]

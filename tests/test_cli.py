@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import mp_hulthen_probabilities
 from qscat import sweep
 from qscat.cli import _format_column, format_number, main
 
@@ -183,8 +184,8 @@ class TestEval:
         argv = ("eval", *HULTHEN, "--energy", "2", "--method", "exact", "--method", "bound")
         header = "energy,exact_T,exact_R,exact_defect,bound_T,bound_gap\n"
         assert run_cli(capsys, *argv, "--hbar", "1") == (0, header + (
-            "2.00000000000,0.07180277379142586,0.9281972262084385,1.3566925360919413e-13,"
-            "0.00014374221471182873,0.07165903157671402\n"
+            "2.00000000000,0.07180277379138808,0.9281972262084385,1.7341683644644945e-13,"
+            "0.00014374221471182873,0.07165903157667625\n"
         ), "")
         assert run_cli(capsys, *argv, "--hbar", "2") == (0, header + (
             "2.00000000000,ERR:unsupported,ERR:unsupported,ERR:unsupported,"
@@ -454,6 +455,8 @@ def extreme_eval_argv(draw):
 @example(list(ECKART_NAN))
 @example(list(RECT_BOUND_NAN[:-2]))
 @example(list(ECKART_R_CONVENTION))
+@example(["eval", "--potential", "eckart", "--v0", "1", "--a", "1", "--energy", "inf"])
+@example(["eval", "--potential", "rect", "--v0", "1", "--a", "1", "--energy", "nan"])
 def test_extreme_inputs_give_numbers_or_err_cells(argv):
     """Any accepted input exits 0 with finite numbers or ERR:<code> cells (or 2 with one
     usage-error line), never a traceback or a warning, and the bound stays below T."""
@@ -533,6 +536,22 @@ def test_extreme_sweeps_give_numbers_or_err_cells(argv):
             assert float(bound) <= float(exact) * (1.0 + 1e-9), cells
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--potential", "eckart", "--v-minus-inf", "1.5", "--v0", "0", "--a", "1",
+     "--var", "V0", "--energy", "inf", "--lo", "-1", "--hi", "1", "--points", "3"),
+    ("resonances", "--potential", "eckart", "--v0", "1", "--a", "1", "--var", "V0",
+     "--energy=-inf"),
+    ("resonances", "--potential", "eckart", "--v0", "1", "--a", "1", "--var", "V0",
+     "--energy", "nan", "--numeric", "--lo", "-1", "--hi", "1", "--grid-n", "16"),
+    ("bound", "--potential", "rect", "--v0", "1", "--a", "1", "--energy", "nan"),
+], ids=["sweep-inf", "resonances-minus-inf", "resonances-numeric-nan", "bound-nan"])
+def test_nonfinite_energy_is_usage_error(capsys, argv):
+    # an infinite energy once gave T = 1 rows and resonance listings with exit 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --energy must be finite") and len(err.splitlines()) == 1
+
+
 RECT_SCAN = (
     "resonances", "--potential", "rect", "--v0", "1", "--a", "1", "--var", "q", "--numeric",
     "--lo", "0.1", "--hi", "50", "--grid-n", "16",
@@ -589,16 +608,22 @@ def test_extreme_resonances_give_numbers_or_usage_error(argv):
 
 @pytest.mark.parametrize("q", ["0.7", "0.99"])
 def test_hulthen_deep_tunnelling_is_noconv(capsys, q):
-    # the direct route (q = 0.7) misses unitarity by 0.31; at q = 0.99 the connection
-    # route's t numerator cancels to 2e-13 of its terms, leaving T = 1.2e-25 where
-    # the 40-digit oracle gives 1.6e-58
+    # the direct route (q = 0.7) misses unitarity by 0.31: noconv; at q = 0.99 the
+    # connection route with Abel's closed-form t numerator gives a number, within
+    # 1e-9 of the 100-digit oracle's T = 1.6385807830155186e-58
     code, out, err = run_cli(
         capsys,
         "eval", "--potential", "hulthen", "--v0", "8.74", "--a", "0.194", "--q", q,
         "--mass", "2.9", "--energy", "2.95",
     )
     assert (code, err) == (0, "")
-    assert out.splitlines()[1].split(",")[1:] == ["ERR:noconv"] * 3
+    cells = out.splitlines()[1].split(",")[1:]
+    if q == "0.7":
+        assert cells == ["ERR:noconv"] * 3
+        return
+    t_ref, r_ref = mp_hulthen_probabilities(2.95, 2.9, 8.74, 0.99, 0.194, dps=100)
+    assert float(cells[0]) == pytest.approx(t_ref, rel=1e-9)
+    assert float(cells[1]) == pytest.approx(r_ref, rel=1e-9)
 
 
 class TestOverflowCells:

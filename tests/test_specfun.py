@@ -156,6 +156,16 @@ class TestGauss2F1:
         with pytest.raises(InvalidInputError):
             gauss_2f1(1.0, 1.0, 2.0, -0.1)
 
+    @pytest.mark.parametrize("a, b, c", [
+        (1.0, 1.0, complex("-inf")),
+        (math.nan, 1.0, 2.0),
+        (1.0, complex(0.0, math.inf), 2.0),
+        (1.0, 1.0, complex(2.0, math.nan)),
+    ], ids=["c-minus-inf", "a-nan", "b-imag-inf", "c-imag-nan"])
+    def test_nonfinite_parameters_rejected(self, a, b, c):
+        with pytest.raises(InvalidInputError, match="finite"):
+            gauss_2f1(a, b, c, 0.5)
+
     def test_nonconvergence_reports_last_term(self):
         with pytest.raises(ConvergenceError) as exc_info:
             gauss_2f1(0.5, 0.5, 1.5, 0.999999, SeriesControl(rel_tol=1e-15, max_terms=100))
