@@ -8,7 +8,6 @@ lower bound, resonance finding, and a sweep/CSV front end.
 from .core import NATURAL_UNITS, PhysicsContext, ScatteringAmplitudes
 from .potentials import Delta, Eckart, Hulthen, PotentialSpec, Rectangular
 from .exact import (
-    HulthenParams,
     asymptotic_wavenumbers,
     delta_amplitudes,
     delta_amplitudes_grid,
@@ -16,7 +15,6 @@ from .exact import (
     eckart_transmission,
     hulthen_amplitudes,
     hulthen_amplitudes_grid,
-    hulthen_params,
     rectangular_above,
     rectangular_amplitudes_grid,
     rectangular_below,

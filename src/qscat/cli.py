@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -374,8 +375,28 @@ def _cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one usage-error line from main, not a usage block and SystemExit
+        raise QscatError(message)
+
+
+# a negative number that argparse would take for an option: -inf, -nan, -1e5
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """'--flag -x' as '--flag=-x' for each negative number -x."""
+    out: list[str] = []
+    for token in argv:
+        if _NEGATIVE_NUMBER.match(token) and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qscat",
         description="Transmission/reflection for four canonical 1D quantum potentials",
     )
@@ -437,15 +458,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; the one place where a QscatError (or a non-finite --energy)
+    """Run one subcommand; the one place where a QscatError (an argparse error, or a
+    non-finite --energy, among them) or a MemoryError (a grid larger than memory)
     becomes a usage error (exit 2) and an OSError an I/O error (exit 3)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(_expand_spec_files(argv))
+        args = _build_parser().parse_args(_attach_negative_values(_expand_spec_files(argv)))
         if not math.isfinite(getattr(args, "energy", None) or 0.0):
             raise QscatError(f"--energy must be finite, got {args.energy!r}")
         return args.run(args)
-    except QscatError as exc:
+    except (QscatError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except OSError as exc:

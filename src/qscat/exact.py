@@ -1,36 +1,31 @@
 """Closed-form scattering amplitudes and probabilities for the four potentials.
 
-Each case maps to one function: the delta and rectangular amplitudes on an array
-of energies (both rectangular branches in one routine), Eckart transmission
-(plus its literature reflection formula), and the Hulthen hypergeometric
-amplitudes, whose 2F1 series for an energy grid run in lockstep.  The delta,
-rectangular and Hulthen grids return the same (t, r, errors) triple, and their
-scalar functions are its one-energy case.
+Each case maps to one function: the delta, rectangular (both branches in one
+routine) and Hulthen hypergeometric amplitudes on an array of energies, and
+Eckart transmission (plus its literature reflection formula).  The three grids
+return the same (t, r, errors) triple, each point's error the first of a list of
+masks, and their scalar functions are its one-energy case.
 The family classes in ``potentials`` call these; an Eckart or Hulthen argument
 ``p`` is read through its fields and ``p.asymptotes()`` only.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicsContext, ScatteringAmplitudes, each
+from .core import PhysicsContext, ScatteringAmplitudes
 from .errors import (
     ConvergenceError,
     DegenerateEnergyError,
     InvalidInputError,
-    QscatError,
     WrongCaseError,
 )
 from .specfun import (
     DEFAULT_SERIES,
     SeriesControl,
-    _convergence_error,
     _hyp2f1_series,
     log_gamma,
 )
@@ -121,17 +116,17 @@ def _unit_phase(y):
     return np.cos(y), np.sin(y)
 
 
-def _amplitude_grid(energies: list, t, r, checks: list, errors: list | None = None):
+def _amplitude_grid(energies: list, t, r, checks: list):
     """(t, r, errors) of a closed-form grid: t and r, (real, imag) pairs of arrays, as
-    complex arrays and, per point, None or its error: the QscatError ``errors``
-    already holds for it, else that of the first of ``checks`` (mask, error class,
-    message) that flags it.  A point whose t or r is not finite is invalid."""
+    complex arrays and, per point, None or its error: that of the first of ``checks``
+    (mask, error class, message) that flags it.  A point whose t or r is not finite
+    is invalid."""
     t_c, r_c = np.empty(len(energies), np.complex128), np.empty(len(energies), np.complex128)
     t_c.real, t_c.imag = t
     r_c.real, r_c.imag = r
     leaves = ~(np.isfinite(t_c) & np.isfinite(r_c))
     checks = [*checks, (leaves, InvalidInputError, "amplitudes at energy {!r} leave double range")]
-    errors = errors or [None] * len(energies)
+    errors = [None] * len(energies)
     for mask, error, message in checks:
         for i in np.flatnonzero(mask).tolist():
             if errors[i] is None:
@@ -366,88 +361,19 @@ def eckart_reflection_paper(
     return num / den
 
 
-@dataclass(frozen=True)
-class HulthenParams:
-    """Derived quantities entering the Hulthen hypergeometric amplitudes.
-
-    The dispersion is k^2 = E^2 - m^2 and p^2 = (E + v0/q)^2 - m^2 (quadratic
-    in the energy, unlike the other potentials); implemented verbatim.
-    """
-
-    mu: complex
-    nu: complex
-    lam: complex
-    p: float
-    k: float
-    energy: float
-    mass: float
-    q: float
+def _hulthen_parameters(p, e, mass: float):
+    """(k, mu = ik/a, nu = ip/a, lam = i v0/(a q)) at each energy of the array e, with
+    k^2 = E^2 - m^2 and p^2 = (E + v0/q)^2 - m^2 (quadratic in E, unlike the other
+    potentials; verbatim).  NaN where E <= m, not finite past double range."""
+    with np.errstate(all="ignore"):
+        k = np.sqrt(e**2 - mass * mass)
+        p_wave = np.sqrt((e + p.v0 / p.q) ** 2 - mass * mass)
+        lam = np.full(len(e), 1j * (np.float64(p.v0) / (np.float64(p.a) * p.q)))
+        return k, 1j * (k / p.a), 1j * (p_wave / p.a), lam
 
 
-def hulthen_params(p, energy: float, mass: float) -> HulthenParams:
-    """Build mu = ik/a, nu = ip/a, lam = i v0/(a q) for a propagating channel."""
-    if not (math.isfinite(mass) and mass > 0):
-        raise InvalidInputError(f"mass must be positive, got {mass!r}")
-    if not energy > mass:
-        raise WrongCaseError(
-            f"propagation requires energy > mass (k^2 = E^2 - m^2 > 0); "
-            f"got energy={energy!r}, mass={mass!r}"
-        )
-    k = math.sqrt(energy**2 - mass**2)
-    p_wave = math.sqrt((energy + p.v0 / p.q) ** 2 - mass**2)
-    return HulthenParams(
-        mu=1j * k / p.a,
-        nu=1j * p_wave / p.a,
-        lam=1j * p.v0 / (p.a * p.q),
-        p=p_wave,
-        k=k,
-        energy=energy,
-        mass=mass,
-        q=p.q,
-    )
-
-
-def _hulthen_assemble(par: HulthenParams, f1, f2, f3, f4, f5, f6) -> tuple[complex, complex]:
-    mu, nu, lam, q = par.mu, par.nu, par.lam, par.q
-
-    a_plus = lam**2 + 2 * lam * mu + mu**2 - nu**2
-    a_minus = lam**2 - 2 * lam * mu + mu**2 - nu**2
-    denom = q * a_plus * f5 * f4 + q * a_minus * f1 * f6 - (2 * mu) * (1 - 2 * mu) * f4 * f6
-    q_pow_2mu = cmath.exp(2 * mu * math.log(q))
-
-    # the source's three-term t numerator, which cancels by up to ~1e72 in deep tunnelling,
-    # is q(1-4mu^2) W(z^mu f2, z^-mu f4)(q) = -2mu(1-4mu^2)(1-q)^(-2lam) by Abel's identity
-    # (DLMF 15.10.3); the prefactor (1-q)^(2lam) q^(2mu)/(1+2mu) of the source then leaves
-    t = -(2 * mu) * (1 - 2 * mu) * q_pow_2mu / denom
-
-    # sqrt((E + k)/(E - k)) with E - k = m^2/(E + k): no cancellation once k rounds to E
-    flux = (par.energy + par.k) / par.mass
-    r_num = (1 + 2 * mu) * f2 * f5 + (1 - 2 * mu) * f3 * f6
-    r = -q * q_pow_2mu * a_plus / (1 + 2 * mu) * flux * r_num / denom
-
-    defect = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
-    if defect > _MAX_DEFECT:
-        raise ConvergenceError(
-            f"the Hulthen amplitudes at energy {par.energy!r} miss unitarity by {defect!r}"
-        )
-    return t, r
-
-
-def _factor_rows(par: HulthenParams) -> list[tuple[complex, complex, complex]]:
-    # (a, b, c) of the 2F1(a, b; c; q) factors f1..f6
-    mu, nu, lam = par.mu, par.nu, par.lam
-    return [
-        (1 + lam - mu - nu, 1 + lam - mu + nu, 2 - 2 * mu),
-        (lam + mu - nu, lam + mu + nu, 1 + 2 * mu),
-        (1 + lam + mu - nu, 1 + lam + mu + nu, 2 + 2 * mu),
-        (lam - mu - nu, lam - mu + nu, 1 - 2 * mu),
-        (1 - lam - mu - nu, 1 - lam - mu + nu, 2 - 2 * mu),
-        (-lam - mu - nu, -lam - mu + nu, 1 - 2 * mu),
-    ]
-
-
-def _connection_route(par: HulthenParams) -> bool:
-    """Whether the factors of this point go through the z -> 1 - z connection.
+def _connection_route(q: float, lam, nu):
+    """Whether the factors of each point go through the z -> 1 - z connection.
 
     The direct series in q needs ~35/(-ln q) terms, the two connection series in
     1 - q ~35/(-ln(1 - q)) plus a few per unit of (1 - q)|nu|, and the Gamma
@@ -459,18 +385,19 @@ def _connection_route(par: HulthenParams) -> bool:
     log_gamma, whose error the two terms amplify as c - a - b = +-2 lam +
     integer nears an integer; the bounds keep a factor within ~1e-10.
     """
-    nu = abs(par.nu)
-    return (par.q >= _CONNECTION_MIN_Q and (1.0 - par.q) * nu <= _CONNECTION_MAX_X
-            and nu <= _CONNECTION_MAX_NU_PER_LAM * min(1.0, abs(par.lam)))
+    nu = np.abs(nu)
+    return ((q >= _CONNECTION_MIN_Q) & ((1.0 - q) * nu <= _CONNECTION_MAX_X)
+            & (nu <= _CONNECTION_MAX_NU_PER_LAM * np.minimum(1.0, np.abs(lam))))
 
 
 def _direct_factors(rows, q: float, ctrl: SeriesControl):
-    """(value, converged, last_term_mag) of each 2F1(a, b; c; q), by its power series."""
-    return [(v, ok, last) for v, _, ok, last in _hyp2f1_series(rows, q, ctrl.rel_tol, ctrl.max_terms)]
+    """Each row's 2F1(a, b; c; q) by its power series, and whether it converged."""
+    values, _, converged, _ = zip(*_hyp2f1_series(rows, q, ctrl.rel_tol, ctrl.max_terms))
+    return np.array(values), np.array(converged)
 
 
 def _connection_factors(rows, q: float, ctrl: SeriesControl):
-    """(value, converged, last_term_mag) of each 2F1(a, b; c; q), by DLMF 15.8.4.
+    """Each row's 2F1(a, b; c; q) by DLMF 15.8.4, and whether both its series converged.
 
     F(a, b; c; q) = G1 F(a, b; s' ; 1 - q) + (1 - q)^s G2 F(c - a, c - b; s + 1; 1 - q)
     with s = c - a - b, s' = 1 - s, G1 = Gamma(c) Gamma(s) / (Gamma(c - a) Gamma(c - b))
@@ -478,58 +405,79 @@ def _connection_factors(rows, q: float, ctrl: SeriesControl):
     s = +-2 lam + integer is never an integer, and a Gamma pole in a
     denominator (a parameter rounded onto one) gives its term the limit 0.
     """
-    a, b, c = np.array(rows, dtype=np.complex128).T
+    a, b, c = rows.T
     s = c - a - b
     pairs = np.concatenate([np.stack([a, b, 1.0 - s], 1), np.stack([c - a, c - b, 1.0 + s], 1)])
-    series = _hyp2f1_series(pairs, 1.0 - q, ctrl.rel_tol, ctrl.max_terms)
-    u1, u2 = np.array([v for v, _, _, _ in series]).reshape(2, -1)
+    (u1, u2), (ok1, ok2) = (x.reshape(2, -1) for x in _direct_factors(pairs, 1.0 - q, ctrl))
     lg_c, lg_s, lg_ms, lg_ca, lg_cb, lg_a, lg_b = log_gamma(np.stack([c, s, -s, c - a, c - b, a, b]))
     with np.errstate(over="ignore", invalid="ignore"):
         values = (np.exp(lg_c + lg_s - lg_ca - lg_cb) * u1
                   + np.exp(lg_c + lg_ms - lg_a - lg_b + s * math.log1p(-q)) * u2)
-    n = len(rows)
-    return [(v, first[2] and second[2], max(first[3], second[3]))
-            for v, first, second in zip(values.tolist(), series[:n], series[n:])]
+    return values, ok1 & ok2
 
 
 def hulthen_amplitudes_grid(p, energies, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES):
     """Hulthen amplitudes at each energy: complex arrays t and r and, per point, None
     or its error.
 
-    Each point takes its six 2F1 factors by one route, chosen from its own
-    (q, lam, nu) by _connection_route: the direct series in q, or two series in
-    1 - q joined by the connection formula.  The series of up to
-    _BATCH_POINTS points of a route share one lockstep kernel call, which
-    gives each series its own result, and their Gamma ratios one array
-    log_gamma call: no point depends on the others.  A series that fails to
-    converge, or amplitudes that miss unitarity by more than 1e-9, give the
-    point a ConvergenceError, an overflow of double range an InvalidInputError.
+    Each point takes its six 2F1 factors by the route _connection_route picks from
+    its own (q, lam, nu): the direct series in q, or two series in 1 - q joined by
+    the connection formula.  Up to _BATCH_POINTS points of a route share one
+    lockstep kernel call, which gives each series its own result, and the rest is
+    elementwise, so no point depends on the others.  A point's error is the first
+    mask that flags it, in this order: E <= m, parameters past double range
+    (invalid), a series that did not converge (noconv), amplitudes past double
+    range (invalid), |T + R - 1| > 1e-9 (noconv).
     """
-    energies = list(energies)
-    t, r = np.full((2, len(energies)), np.nan, np.complex128)
-    params = each(lambda energy: hulthen_params(p, energy, mass), energies)
-    errors = [par if isinstance(par, QscatError) else None for par in params]
-    direct, connection = [], []
-    for i, error in enumerate(errors):
-        if error is None:
-            (connection if _connection_route(params[i]) else direct).append(i)
-    routes = ((direct, _direct_factors, p.q), (connection, _connection_factors, 1.0 - p.q))
-    for points, route, z in routes:
-        for j in range(0, len(points), _BATCH_POINTS):
-            batch = points[j : j + _BATCH_POINTS]
-            values = route([row for i in batch for row in _factor_rows(params[i])], p.q, ctrl)
-
-            def assemble(k):
-                # sets t and r of the batch's k-th point; what it raises is its error
-                factors, i = values[6 * k : 6 * k + 6], batch[k]
-                for value, converged, last in factors:
-                    if not converged:
-                        raise _convergence_error(value, last, z, ctrl)
-                t[i], r[i] = _hulthen_assemble(params[i], *(f[0] for f in factors))
-
-            for i, error in zip(batch, each(assemble, range(len(batch)))):
-                errors[i] = error
-    return _amplitude_grid(energies, (t.real, t.imag), (r.real, r.imag), [], errors)
+    if not (math.isfinite(mass) and mass > 0):
+        raise InvalidInputError(f"mass must be positive, got {mass!r}")
+    e = np.asarray(energies, dtype=float)
+    k, mu, nu, lam = _hulthen_parameters(p, e, mass)
+    propagates = e > mass
+    leaves = ~(np.isfinite(mu) & np.isfinite(nu) & np.isfinite(lam))  # NaN where E <= m
+    live = propagates & ~leaves
+    connection = live & _connection_route(p.q, lam, nu)
+    f = np.full((6, len(e)), np.nan, np.complex128)
+    converged = np.ones((6, len(e)), dtype=bool)
+    with np.errstate(all="ignore"):
+        # (a, b, c) of the 2F1(a, b; c; q) factors f1..f6 of each point
+        rows = np.moveaxis(np.array([
+            (1 + lam - mu - nu, 1 + lam - mu + nu, 2 - 2 * mu),
+            (lam + mu - nu, lam + mu + nu, 1 + 2 * mu),
+            (1 + lam + mu - nu, 1 + lam + mu + nu, 2 + 2 * mu),
+            (lam - mu - nu, lam - mu + nu, 1 - 2 * mu),
+            (1 - lam - mu - nu, 1 - lam - mu + nu, 2 - 2 * mu),
+            (-lam - mu - nu, -lam - mu + nu, 1 - 2 * mu),
+        ]), -1, 0)
+        for points, factors in ((np.flatnonzero(live & ~connection), _direct_factors),
+                                (np.flatnonzero(connection), _connection_factors)):
+            for j in range(0, len(points), _BATCH_POINTS):
+                batch = points[j : j + _BATCH_POINTS]
+                values, ok = factors(rows[batch].reshape(-1, 3), p.q, ctrl)
+                f[:, batch], converged[:, batch] = values.reshape(-1, 6).T, ok.reshape(-1, 6).T
+        f1, f2, f3, f4, f5, f6 = f
+        a_plus = lam**2 + 2 * lam * mu + mu**2 - nu**2
+        a_minus = lam**2 - 2 * lam * mu + mu**2 - nu**2
+        denom = p.q * a_plus * f5 * f4 + p.q * a_minus * f1 * f6 - (2 * mu) * (1 - 2 * mu) * f4 * f6
+        q_pow_2mu = np.exp(2 * mu * math.log(p.q))
+        # the source's three-term t numerator, which cancels by up to ~1e72 in deep tunnelling,
+        # is q(1-4mu^2) W(z^mu f2, z^-mu f4)(q) = -2mu(1-4mu^2)(1-q)^(-2lam) by Abel's identity
+        # (DLMF 15.10.3); the prefactor (1-q)^(2lam) q^(2mu)/(1+2mu) of the source then leaves
+        t = -(2 * mu) * (1 - 2 * mu) * q_pow_2mu / denom
+        # sqrt((E + k)/(E - k)) with E - k = m^2/(E + k): no cancellation once k rounds to E
+        flux = (e + k) / mass
+        r_num = (1 + 2 * mu) * f2 * f5 + (1 - 2 * mu) * f3 * f6
+        r = -p.q * q_pow_2mu * a_plus / (1 + 2 * mu) * flux * r_num / denom
+    transmission, reflection, defect = probability_arrays(t, r)
+    return _amplitude_grid(e.tolist(), (t.real, t.imag), (r.real, r.imag), [
+        (~propagates, WrongCaseError, f"propagation requires energy > mass = {mass!r}, got {{!r}}"),
+        (leaves, InvalidInputError, "Hulthen parameters at energy {!r} leave double range"),
+        (~converged.all(axis=0), ConvergenceError, "a 2F1 series at energy {!r} did not converge"),
+        # T is finite only where t is and |t|^2 stays in double range
+        (~(np.isfinite(transmission) & np.isfinite(reflection)), InvalidInputError,
+         "Hulthen amplitudes at energy {!r} leave double range"),
+        (defect > _MAX_DEFECT, ConvergenceError, "Hulthen amplitudes at energy {!r} miss unitarity"),
+    ])
 
 
 def hulthen_amplitudes(

@@ -168,13 +168,6 @@ def _hyp2f1_series(rows, z, rel_tol, max_terms):
     return out
 
 
-def _convergence_error(value, last, z, ctrl) -> ConvergenceError:
-    return ConvergenceError(
-        f"2F1 series did not converge within {ctrl.max_terms} terms "
-        f"(last term magnitude {last:.3e}); argument z = {z} may be too close to 1",
-        estimate=value, last_term=last)
-
-
 def gauss_2f1(a, b, c, z: float, ctrl: SeriesControl = DEFAULT_SERIES) -> complex:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z in [0, 1).
 
@@ -198,5 +191,8 @@ def gauss_2f1(a, b, c, z: float, ctrl: SeriesControl = DEFAULT_SERIES) -> comple
         return 1.0 + 0.0j
     ((value, _, converged, last),) = _hyp2f1_series([(a, b, c)], z, ctrl.rel_tol, ctrl.max_terms)
     if not converged:
-        raise _convergence_error(value, last, z, ctrl)
+        raise ConvergenceError(
+            f"2F1 series did not converge within {ctrl.max_terms} terms "
+            f"(last term magnitude {last:.3e}); argument z = {z} may be too close to 1",
+            estimate=value, last_term=last)
     return value

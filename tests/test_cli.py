@@ -184,8 +184,8 @@ class TestEval:
         argv = ("eval", *HULTHEN, "--energy", "2", "--method", "exact", "--method", "bound")
         header = "energy,exact_T,exact_R,exact_defect,bound_T,bound_gap\n"
         assert run_cli(capsys, *argv, "--hbar", "1") == (0, header + (
-            "2.00000000000,0.07180277379138808,0.9281972262084385,1.7341683644644945e-13,"
-            "0.00014374221471182873,0.07165903157667625\n"
+            "2.00000000000,0.07180277379138814,0.9281972262084391,1.7275070263167436e-13,"
+            "0.00014374221471182873,0.0716590315766763\n"
         ), "")
         assert run_cli(capsys, *argv, "--hbar", "2") == (0, header + (
             "2.00000000000,ERR:unsupported,ERR:unsupported,ERR:unsupported,"
@@ -425,6 +425,12 @@ ECKART_R_CONVENTION = (
     "--r-convention", "paper", "--hbar", "1e200",
 )
 
+NEGATIVE_INFINITE_ENERGY = ("eval", "--potential", "rect", "--v0", "1", "--a", "1", "--energy", "-inf")
+NEGATIVE_INFINITE_LO = (
+    "sweep", "--potential", "delta", "--alpha", "1", "--var", "k", "--lo", "-inf", "--hi", "2",
+    "--points", "3",
+)
+
 # every float flag of each family; --energy, --hbar and --mass come on top
 FAMILY_FLAGS = {
     "delta": ("--alpha",),
@@ -457,6 +463,9 @@ def extreme_eval_argv(draw):
 @example(list(ECKART_R_CONVENTION))
 @example(["eval", "--potential", "eckart", "--v0", "1", "--a", "1", "--energy", "inf"])
 @example(["eval", "--potential", "rect", "--v0", "1", "--a", "1", "--energy", "nan"])
+@example(list(NEGATIVE_INFINITE_ENERGY))
+@example([*NEGATIVE_INFINITE_ENERGY[:-1], "-nan"])
+@example([*NEGATIVE_INFINITE_ENERGY[:-2]])
 def test_extreme_inputs_give_numbers_or_err_cells(argv):
     """Any accepted input exits 0 with finite numbers or ERR:<code> cells (or 2 with one
     usage-error line), never a traceback or a warning, and the bound stays below T."""
@@ -510,6 +519,7 @@ def extreme_sweep_argv(draw):
 @given(extreme_sweep_argv())
 @example(list(INFINITE_BOUND))
 @example(list(HULTHEN_NEAR_ONE))
+@example(list(NEGATIVE_INFINITE_LO))
 def test_extreme_sweeps_give_numbers_or_err_cells(argv):
     """The sweep form of test_extreme_inputs_give_numbers_or_err_cells: every row
     holds finite numbers or ERR:<code> cells, or the run is one usage-error line."""
@@ -633,7 +643,7 @@ class TestOverflowCells:
     @pytest.mark.parametrize(
         "argv, invalid_rows",
         [
-            (("eval", *HULTHEN, "--energy", "1e300"), [True]),  # E^2 in hulthen_params
+            (("eval", *HULTHEN, "--energy", "1e300"), [True]),  # E^2 leaves double range
             (("eval", *HULTHEN, "--energy", "1e154"), [True]),  # complex exponentiation
             (
                 ("eval", "--potential", "hulthen", "--v0", "1e300", "--a", "0.5", "--q", "0.9",
@@ -861,6 +871,45 @@ def test_readme_cli_commands_run(capsys, monkeypatch, tmp_path):
     for argv in commands:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
+
+
+class TestArgumentErrors:
+    """argparse's own errors, and a value such as -inf that argparse would take for an
+    option, end in main's one usage-error line (exit 2), not in SystemExit."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (NEGATIVE_INFINITE_ENERGY, "error: --energy must be finite, got -inf"),
+        ((*NEGATIVE_INFINITE_ENERGY[:-1], "-nan"), "error: --energy must be finite, got nan"),
+        (NEGATIVE_INFINITE_LO, "error: need finite lo, hi and hi - lo, got (-inf, 2.0)"),
+        (NEGATIVE_INFINITE_ENERGY[:-2], "error: the following arguments are required: --energy"),
+        (("eval", "--potential", "rect", "--v0", "1", "--a", "1", "--energy", "x"),
+         "error: argument --energy: invalid float value: 'x'"),
+    ])
+    def test_one_usage_line(self, capsys, argv, line):
+        assert run_cli(capsys, *argv) == (2, "", line + "\n")
+
+    @pytest.mark.parametrize("lo", ["-1.5", "-1.5e0", "-2e-1"])
+    def test_negative_finite_values_still_parse(self, capsys, lo):
+        code, out, err = run_cli(
+            capsys, "sweep", "--potential", "rect", "--v0", "1", "--a", "1", "--var", "E",
+            "--lo", lo, "--hi", "2", "--points", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[0] == format_number(float(lo))
+
+    def test_grid_beyond_memory(self, capsys):
+        # 1e17 float64 values are 800 PB, beyond any address space: numpy refuses at once
+        code, out, err = run_cli(
+            capsys, "sweep", "--potential", "delta", "--alpha", "1", "--var", "k", "--lo", "1",
+            "--hi", "2", "--points", "100000000000000000",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_help_still_exits_zero(self):
+        result = subprocess.run([sys.executable, "-m", "qscat", "--help"], capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: qscat")
 
 
 class TestEntryPoint:

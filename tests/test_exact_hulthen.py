@@ -11,11 +11,10 @@ from qscat import (
     Hulthen,
     SweepSpec,
     hulthen_amplitudes,
-    hulthen_params,
     run_sweep,
 )
-from qscat.errors import ConvergenceError, WrongCaseError
-from qscat.exact import _connection_route, hulthen_amplitudes_grid
+from qscat.errors import ConvergenceError, InvalidInputError, WrongCaseError
+from qscat.exact import _connection_route, _hulthen_parameters, hulthen_amplitudes_grid
 
 FIG10A = Hulthen(v0=1.0, a=0.5, q=0.9)
 
@@ -28,6 +27,12 @@ GOLDEN = {
 
 def _probs(p, energy, mass=1.0):
     return probabilities_from_amplitudes(hulthen_amplitudes(p, energy, mass))
+
+
+def connection_routes(p, energies, mass=1.0):
+    """Whether each energy's factors take the connection route."""
+    _, _, nu, lam = _hulthen_parameters(p, np.asarray(energies, dtype=float), mass)
+    return _connection_route(p.q, lam, nu).tolist()
 
 
 class TestGoldenValues:
@@ -77,29 +82,6 @@ class TestLimits:
             hulthen_amplitudes(FIG10A, 1.0, mass=1.0)
 
 
-class TestParams:
-    def test_construction_identities(self, rng):
-        for _ in range(50):
-            p = Hulthen(
-                v0=rng.uniform(0.1, 3.0),
-                a=rng.uniform(0.3, 2.0),
-                q=rng.uniform(0.1, 0.95),
-            )
-            mass = rng.uniform(0.5, 2.0)
-            energy = mass * rng.uniform(1.05, 8.0)
-            par = hulthen_params(p, energy, mass)
-            assert par.k**2 == pytest.approx(energy**2 - mass**2, rel=1e-12)
-            assert par.p**2 == pytest.approx((energy + p.v0 / p.q) ** 2 - mass**2, rel=1e-12)
-            assert par.mu == 1j * par.k / p.a
-            assert par.nu == 1j * par.p / p.a
-            assert par.lam == 1j * p.v0 / (p.a * p.q)
-
-    def test_wavenumbers_real_for_propagating_channel(self):
-        par = hulthen_params(FIG10A, 2.0, 1.0)
-        assert par.k == pytest.approx(math.sqrt(3.0), rel=1e-15)
-        assert par.p > par.k
-
-
 class TestConnectionRoute:
     """Points with q >= 0.8 and small (1 - q)|nu| take their 2F1 factors from the
     z -> 1 - z connection formula, whose series are short at any q < 1."""
@@ -108,9 +90,9 @@ class TestConnectionRoute:
     @pytest.mark.parametrize("a", [0.5, 1.0])
     def test_switched_points_match_oracle(self, q, a, rng):
         p = Hulthen(v0=1.0, a=a, q=q)
-        for energy in rng.uniform(1.09, 10.0, 3):
-            energy = float(energy)
-            assert _connection_route(hulthen_params(p, energy, 1.0))
+        energies = rng.uniform(1.09, 10.0, 3)
+        assert connection_routes(p, energies) == [True] * 3
+        for energy in energies.tolist():
             t_ref, r_ref = mp_hulthen_probabilities(energy, 1.0, 1.0, q, a)
             probs = _probs(p, energy)
             assert probs.transmission == pytest.approx(t_ref, rel=1e-9)
@@ -128,7 +110,7 @@ class TestConnectionRoute:
         # (1 - q)|nu| ~ 20 puts E = 1e4 on the direct route, whose series at
         # q = 0.999 exceed the cap: an error cell, and no warning on the way
         p = Hulthen(v0=1.0, a=0.5, q=0.999)
-        assert not _connection_route(hulthen_params(p, 1e4, 1.0))
+        assert connection_routes(p, [1e4]) == [False]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = run_sweep(SweepSpec(p, "E", 1e4, 2e4, 2))
@@ -153,6 +135,44 @@ class TestAssemblyGuard:
         probs = _probs(p, 2.95, mass=2.9)
         assert probs.transmission == pytest.approx(t_ref, rel=1e-9)
         assert probs.reflection == pytest.approx(r_ref, rel=1e-9)
+
+
+# (energy, error class) of one batch at the deep-tunnelling parameters, in grid order;
+# at q = 0.7 the direct series keep no digit of T at any energy above m (noconv
+# from 2.95 up to 1e10), so the numbers of the batch come from the same barrier at
+# q = 0.99, on the connection route
+MASK_BATCHES = {
+    0.7: [
+        (2.95, ConvergenceError),  # misses unitarity by 0.31
+        (2.9, WrongCaseError), (1.0, WrongCaseError),  # E <= m
+        (1e154, InvalidInputError),  # the factors converge; mu^2 leaves double range
+        (3.5, ConvergenceError),
+        (1e300, InvalidInputError),  # E^2 leaves double range before any series
+    ],
+    0.99: [
+        (2.95, None), (1e154, InvalidInputError), (2.9, WrongCaseError),
+        (3.5, None), (10.0, None), (1e300, InvalidInputError), (29.0, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("q", sorted(MASK_BATCHES))
+def test_mask_precedence_in_a_mixed_batch(q):
+    """Every row of a batch is its one-point call, bit for bit, with the error the
+    first applicable mask gives: wrongcase, overflow of the parameters, a factor
+    that did not converge, overflow of the amplitudes, then the unitarity guard."""
+    p, points = Hulthen(v0=8.74, a=0.194, q=q), MASK_BATCHES[q]
+    t, r, errors = hulthen_amplitudes_grid(p, [energy for energy, _ in points], 2.9)
+    for i, (energy, code) in enumerate(points):
+        (t1,), (r1,), (error,) = hulthen_amplitudes_grid(p, [energy], 2.9)
+        assert type(errors[i]) is type(error) is (code or type(None)), energy
+        assert str(errors[i]) == str(error)
+        if code is None:
+            assert (t[i], r[i]) == (t1, r1)
+            assert abs(abs(t1) ** 2 + abs(r1) ** 2 - 1.0) <= 1e-9
+        else:
+            with pytest.raises(code):
+                hulthen_amplitudes(p, energy, mass=2.9)
 
 
 def _log_uniform(lo, hi):

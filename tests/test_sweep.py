@@ -16,7 +16,6 @@ from qscat import (
     bound_for_potential,
     delta_amplitudes,
     hulthen_amplitudes,
-    hulthen_params,
     rectangular_above,
     rectangular_below,
     run_sweep,
@@ -24,7 +23,7 @@ from qscat import (
 )
 from qscat import exact, specfun
 from qscat.errors import InvalidInputError, QscatError
-from qscat.exact import _connection_route
+from qscat.exact import _connection_route, _hulthen_parameters
 from qscat.sweep import METHOD_ORDER, sweep_rows
 
 
@@ -108,8 +107,8 @@ class TestPurityAndDeterminism:
         # or alone
         monkeypatch.setattr(specfun, "DEFAULT_SERIES", SeriesControl(max_terms=350))
         spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=100.0, points=100)
-        routes = [_connection_route(hulthen_params(spec.potential, float(x), 1.0)) for x in spec.grid()]
-        assert routes == [True] * 23 + [False] * 77
+        _, _, nu, lam = _hulthen_parameters(spec.potential, spec.grid(), 1.0)
+        assert _connection_route(spec.potential.q, lam, nu).tolist() == [True] * 23 + [False] * 77
         rows = run_sweep(spec)
         assert rows == _point_by_point(spec)
         errors = [r.results["exact"].error for r in rows]
