@@ -3,9 +3,9 @@
 T >= sech^2( (1/2) * integral |k0 - k^2(x)/k0| dx ) over the whole line; k0
 is the asymptotic wavenumber.  Since k0^2 - k^2(x) = 2m (V(x) - V_inf)/hbar^2,
 the exponent is (m/(hbar^2 k0)) times the area A = integral |V(x) - V_inf| dx,
-which does not depend on the energy.  ``bound_for_potential`` uses the exact
-area of each family (``p.bound_area()``); ``transmission_bound`` integrates |V - V_inf| of an
-arbitrary potential callable over a given window.
+which does not depend on the energy.  ``bound_integrals`` forms the exponent from the
+exact area of each family (``p.bound_area()``) at an array of energies; ``transmission_bound``
+integrates |V - V_inf| of an arbitrary potential callable over a given window.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PhysicsContext
-from .errors import InvalidInputError
+from .core import PhysicsContext, first_errors
+from .errors import InvalidInputError, QscatError
 from .wkb import DEFAULT_QUADRATURE, QuadratureControl, _integrate_gauss_legendre, _on_array
 
 
@@ -66,26 +66,41 @@ def transmission_bound(
 
     v = _on_array(potential)
 
-    def integrand(x: np.ndarray) -> np.ndarray:
+    def integrand(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return two_m_over_h2 * np.abs(v(x) - v_asymptotic) / k0
 
-    integral = 0.5 * _integrate_gauss_legendre(integrand, x1, x2, ctrl)
+    (integral,), (error,) = _integrate_gauss_legendre(integrand, np.array([[x1, x2]]), ctrl)
+    if error is not None:
+        raise error
+    integral = 0.5 * integral.item()
     return BoundResult(lower_bound=_sech_sq(integral), integral_value=integral)
+
+
+def bound_integrals(p, energies, ctx: PhysicsContext) -> tuple[np.ndarray, list]:
+    """The sech^2 exponent (m/(hbar^2 k0)) A at each energy, from the exact area A of
+    |V - V_inf| of the family ``p``, and per energy None or its error.  The delta
+    potential is excluded (no quadrature over a distribution), and so is the Eckart
+    profile with unequal asymptotes: the bound assumes one k0 on both sides."""
+    e = np.asarray(energies, dtype=float)
+    try:
+        area, v_inf = p.bound_area(), p.asymptotes()[1]
+        two_m_over_h2, m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2, ctx.mass / ctx.hbar**2
+    except (QscatError, ArithmeticError) as exc:
+        error = exc if isinstance(exc, QscatError) else InvalidInputError(f"hbar^2 out of range: {exc}")
+        return np.full(e.size, math.nan), [error] * e.size
+    with np.errstate(all="ignore"):
+        k0 = np.sqrt(two_m_over_h2 * (e - v_inf))
+        integral = m_over_h2 * area / k0
+    return integral, first_errors(e.tolist(), [
+        (~(e > v_inf), InvalidInputError,
+         f"asymptotic channel is evanescent: energy {{!r}} <= V_inf {v_inf!r}"),
+        (k0 == 0.0, InvalidInputError, "k0 underflows to zero at energy {!r}"),
+    ])
 
 
 def bound_for_potential(p, energy: float, ctx: PhysicsContext) -> BoundResult:
-    """sech^2 bound from the exact area of |V - V_inf| of the potential family ``p``.
-
-    The delta potential is excluded (no quadrature over a distribution), and
-    so is the Eckart profile with unequal asymptotes: the bound as stated
-    assumes one asymptotic k0 on both sides.
-    """
-    area = p.bound_area()
-    v_inf = p.asymptotes()[1]
-    if not energy > v_inf:
-        raise InvalidInputError(
-            f"asymptotic channel is evanescent: energy {energy!r} <= V_inf {v_inf!r}"
-        )
-    k0 = math.sqrt(2.0 * ctx.mass / ctx.hbar**2 * (energy - v_inf))
-    integral = ctx.mass / ctx.hbar**2 * area / k0
-    return BoundResult(lower_bound=_sech_sq(integral), integral_value=integral)
+    """sech^2 bound of the potential family ``p``: the one-energy case of bound_integrals."""
+    (integral,), (error,) = bound_integrals(p, [energy], ctx)
+    if error is not None:
+        raise error
+    return BoundResult(lower_bound=_sech_sq(integral.item()), integral_value=integral.item())

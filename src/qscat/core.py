@@ -62,6 +62,17 @@ def method_result(method: str, *values: float | None) -> MethodResult | InvalidI
     return InvalidInputError(f"the {method} result is not finite")
 
 
+def first_errors(values: list, checks) -> list:
+    """Per value, None or the error of the first of ``checks`` (1-d boolean array, error
+    class, message with one {!r} field for the value) that flags it."""
+    errors = [None] * len(values)
+    for mask, error, message in checks:
+        for i in mask.nonzero()[0].tolist():
+            if errors[i] is None:
+                errors[i] = error(message.format(values[i]))
+    return errors
+
+
 def each(f, items) -> list:
     """f(item) at each item, or the error it raises there: a QscatError as it is, an
     ArithmeticError (intermediates that leave double range) as an InvalidInputError."""

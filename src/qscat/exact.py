@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import PhysicsContext, ScatteringAmplitudes
+from .core import PhysicsContext, ScatteringAmplitudes, first_errors
 from .errors import (
     ConvergenceError,
     DegenerateEnergyError,
@@ -126,12 +126,7 @@ def _amplitude_grid(energies: list, t, r, checks: list):
     r_c.real, r_c.imag = r
     leaves = ~(np.isfinite(t_c) & np.isfinite(r_c))
     checks = [*checks, (leaves, InvalidInputError, "amplitudes at energy {!r} leave double range")]
-    errors = [None] * len(energies)
-    for mask, error, message in checks:
-        for i in np.flatnonzero(mask).tolist():
-            if errors[i] is None:
-                errors[i] = error(message.format(energies[i]))
-    return t_c, r_c, errors
+    return t_c, r_c, first_errors(energies, checks)
 
 
 def _one_point(grid) -> ScatteringAmplitudes:

@@ -3,9 +3,9 @@
 Every family answers the same questions: V(x) on scalars or numpy arrays
 (``values``), the asymptotes, the swept variables and how a value of one maps
 to a (potential, energy) point (``sweep_map``), the exact, WKB and bound results
-at a list of energies (``wkb`` and ``bound`` are shared, pointwise on
-``wkb_for_potential`` and ``bound_for_potential``), the WKB action and its
-region, the area behind the sech^2 bound, and the analytic resonances.
+at a list of energies (``wkb`` and ``bound`` are shared array computations on
+``wkb_actions`` and ``bound_area``), the WKB actions on an array of energies and
+their region, the area behind the sech^2 bound, and the analytic resonances.
 ``_Family`` answers the rest with an UnsupportedOperationError (asymptotes 0,
 E the only swept variable), so a family states only what it has: the delta
 potential is a distribution and exists only through its closed-form results.
@@ -20,8 +20,8 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .bound import bound_for_potential
-from .core import each, method_result
+from .bound import _sech_sq, bound_integrals
+from .core import each, first_errors, method_result
 from .errors import (
     DegenerateEnergyError,
     InvalidInputError,
@@ -37,14 +37,7 @@ from .exact import (
 )
 from .resonance import Kind, ResonanceListing, ResonanceReport, Source, _label_for
 from . import specfun, wkb
-from .wkb import (
-    BarrierRegion,
-    RegionSource,
-    _action,
-    eckart_turning_points,
-    fixed_limits,
-    hulthen_turning_point,
-)
+from .wkb import RegionSource, _actions, eckart_turning_points, hulthen_turning_points
 
 # the reflection resonance at the k = 0 boundary, where T vanishes
 _REFLECTION_AT_K0 = ResonanceListing(
@@ -71,15 +64,20 @@ class _Family:
 
     variables: ClassVar[tuple[str, ...]] = ("E",)
 
-    def wkb(self, energies, ctx) -> list:
-        """wkb_for_potential at each energy, over the region the family chooses."""
-        return each(lambda energy: method_result("wkb", wkb.wkb_for_potential(self, energy, ctx)),
-                    energies)
+    def wkb(self, energies, ctx, solve_turning_points=False) -> list:
+        """The WKB transmission exp(-2 sqrt(2m)/hbar * action) at each energy, over the
+        region the family chooses."""
+        with np.errstate(all="ignore"):  # a point that leaves double range is an error in its row
+            actions, errors = self.wkb_actions(np.asarray(energies, dtype=float), solve_turning_points)
+        factor = -2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar
+        return [error or method_result("wkb", math.exp(factor * action))
+                for action, error in zip(actions.tolist(), errors)]
 
     def bound(self, energies, ctx) -> list:
-        """The sech^2 lower bound of bound_for_potential at each energy."""
-        return each(lambda energy: method_result(
-            "bound", bound_for_potential(self, energy, ctx).lower_bound), energies)
+        """The sech^2 lower bound at each energy."""
+        integrals, errors = bound_integrals(self, energies, ctx)
+        return [error or method_result("bound", _sech_sq(integral))
+                for integral, error in zip(integrals.tolist(), errors)]
 
     def values(self, x):
         """V(x); x may be a scalar or a numpy array."""
@@ -102,9 +100,11 @@ class _Family:
     def _point(self, variable, x, ctx, fixed):
         return self, x
 
-    def wkb_action(self, energy, solve_turning_points=False) -> float:
-        """Integral of sqrt(V - E) over the family's barrier region."""
-        raise UnsupportedOperationError(f"WKB quadrature is undefined for {type(self).__name__}")
+    def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
+        """Integral of sqrt(V - E) over the family's barrier region at each energy of the
+        array, and per energy None or its error."""
+        error = UnsupportedOperationError(f"WKB quadrature is undefined for {type(self).__name__}")
+        return np.full(energies.size, math.nan), [error] * energies.size
 
     def bound_area(self) -> float:
         """Exact integral of |V(x) - V_inf| over the whole line."""
@@ -179,12 +179,11 @@ class Rectangular(_Family):
     def exact(self, energies, ctx) -> list:
         return _grid_results(rectangular_amplitudes_grid(self.v0, self.a, energies, ctx))
 
-    def wkb_action(self, energy, solve_turning_points=False) -> float:
-        if not 0 < energy < self.v0:
-            raise WrongCaseError(
-                f"WKB tunneling needs 0 < E < v0, got E={energy!r}, v0={self.v0!r}"
-            )
-        return 2.0 * self.a * math.sqrt(self.v0 - energy)
+    def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
+        actions = 2.0 * self.a * np.sqrt(self.v0 - energies)
+        return actions, first_errors(energies.tolist(), [(
+            ~((0 < energies) & (energies < self.v0)), WrongCaseError,
+            f"WKB tunneling needs 0 < E < v0, got E={{!r}}, v0={self.v0!r}")])
 
     def bound_area(self) -> float:
         return 2.0 * self.a * self.v0
@@ -248,10 +247,11 @@ class Eckart(_Family):
 
         return each(at, energies)
 
-    def wkb_action(self, energy, solve_turning_points=False) -> float:
+    def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
         # always between the closed-form turning points: no conventional fixed window
-        region = eckart_turning_points(self, energy)
-        return _action(self.values, energy, region, wkb.DEFAULT_QUADRATURE)
+        x1, x2, checks = eckart_turning_points(self, energies)
+        return _actions(self.values, energies, x1, x2, RegionSource.SOLVED_TURNING_POINTS,
+                        wkb.DEFAULT_QUADRATURE, checks=checks)
 
     def bound_area(self) -> float:
         # the bound assumes one asymptotic k0 on both sides; equal asymptotes leave
@@ -318,15 +318,17 @@ class Hulthen(_Family):
             return [UnsupportedOperationError("the Hulthen amplitudes need hbar = 1")] * len(energies)
         return _grid_results(hulthen_amplitudes_grid(self, energies, ctx.mass, specfun.DEFAULT_SERIES))
 
-    def wkb_action(self, energy, solve_turning_points=False) -> float:
-        # the fixed (-1, 1) window of the published recipe, split at the cusp of V at
-        # x = 0, or the physical region between the closed-form turning points
+    def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
+        # the physical region between the closed-form turning points, or the fixed
+        # (-1, 1) window of the published recipe, split at the cusp of V at x = 0;
+        # E <= 0 propagates in neither channel
         ctrl = wkb.DEFAULT_QUADRATURE
         if solve_turning_points:
-            edge = hulthen_turning_point(self, energy)
-            region = BarrierRegion(-edge, edge, RegionSource.SOLVED_TURNING_POINTS)
-            return _action(self.values, energy, region, ctrl)
-        return _action(self.values, energy, fixed_limits(-1.0, 1.0), ctrl, (0.0,))
+            edge, checks = hulthen_turning_points(self, energies)
+            return _actions(self.values, energies, -edge, edge, RegionSource.SOLVED_TURNING_POINTS,
+                            ctrl, checks=checks)
+        return _actions(self.values, energies, -1.0, 1.0, RegionSource.FIXED_LIMITS, ctrl, (0.0,),
+                        [(~(energies > 0), WrongCaseError, "WKB tunneling needs E > 0, got {!r}")])
 
     def bound_area(self) -> float:
         # 2 v0 integral_0^inf dx / (e^{ax} - q) = -2 v0 log(1 - q) / (a q)

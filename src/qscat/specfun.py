@@ -164,7 +164,8 @@ def _hyp2f1_series(rows, z, rel_tol, max_terms):
             active = np.concatenate(running)
             n0 += ns.size
     for r in active.tolist():
-        out[r] = (complex(s[r, 0]), n0, False, abs(complex(term[r, 0])))
+        # numpy's abs: Python's complex abs of a NaN raises OverflowError on a stale errno
+        out[r] = (complex(s[r, 0]), n0, False, abs(term[r, 0]).item())
     return out
 
 

@@ -2,16 +2,16 @@
 
 T_w = exp(-2 sqrt(2m/hbar^2) * integral of sqrt(V(x) - E) over the barrier).
 
-``wkb_for_potential`` takes the action from the family (``p.wkb_action``),
-which uses what it has in closed form: the rectangular action is
-2a sqrt(v0 - E), and the Hulthen and Eckart turning points below solve
-V(x) = E exactly.  Every other action, of a family or of an
-arbitrary potential callable passed to ``wkb_transmission``, goes through one
-routine: a Gauss-Legendre rule on numpy arrays of nodes (48 against 96 nodes,
-halving the interval until they agree); a region bounded by turning points is
-split at its midpoint and substituted u^2 = x - x1 (resp. x2 - x), which
-turns the square-root edge into a smooth function of u.  A scalar callable
-is applied node by node.
+``wkb_for_potential`` is the one-energy case of the family's ``wkb``, whose actions
+at an array of energies (``p.wkb_actions``) use what the family has in closed form:
+the rectangular action is 2a sqrt(v0 - E), and the Hulthen and Eckart turning
+points below solve V(x) = E exactly, as arrays.  Every other action, of a family
+or of an arbitrary potential callable passed to ``wkb_transmission``, goes through
+one routine: a Gauss-Legendre rule (48 against 96 nodes, halving an interval until
+they agree) that integrates the intervals of all energies in one call and refines
+each energy on its own; a region bounded by turning points is split at its
+midpoint and substituted u^2 = x - x1 (resp. x2 - x), which turns the square-root
+edge into a smooth function of u.  A scalar callable is applied node by node.
 
 ``find_turning_points`` (scan and bisection) solves the region of an
 arbitrary potential callable.
@@ -27,14 +27,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PhysicsContext
-from .errors import ConvergenceError, InvalidInputError, NoBarrierError
+from .core import PhysicsContext, first_errors
+from .errors import ConvergenceError, InvalidInputError, NoBarrierError, QscatError
 
 # floating-point noise below the barrier top is clamped, anything worse rejected
 _NEGATIVE_SLACK = 1e-12
 
 # Gauss-Legendre orders compared for the error estimate of one interval
 _GL_COARSE, _GL_FINE = 48, 96
+# owners per block of one quadrature call, bounding the memory of a long sweep
+_BATCH_OWNERS = 32
 
 
 class RegionSource(Enum):
@@ -75,68 +77,76 @@ def fixed_limits(x1: float, x2: float) -> BarrierRegion:
 
 
 @functools.cache
-def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of both orders on [-1, 1] in one array, then each order's weights.
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of both orders on [-1, 1] in one array, and their weights in another.
 
     Built on first use, so importing qscat does not load numpy.polynomial.
     """
     x_coarse, w_coarse = np.polynomial.legendre.leggauss(_GL_COARSE)
     x_fine, w_fine = np.polynomial.legendre.leggauss(_GL_FINE)
-    return np.concatenate((x_coarse, x_fine)), w_coarse, w_fine
+    return np.concatenate((x_coarse, x_fine)), np.concatenate((w_coarse, w_fine))
 
 
 def _integrate_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    ctrl: QuadratureControl,
-    breaks: tuple[float, ...] = (),
-) -> float:
-    """Integral of an array function f over [a, b], 48 against 96 Gauss-Legendre nodes.
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], edges: np.ndarray, ctrl: QuadratureControl
+) -> tuple[np.ndarray, list]:
+    """Integral of an array function f from edges[i, 0] to edges[i, -1] for each owner i,
+    48 against 96 Gauss-Legendre nodes: an array and, per owner, None or its error.
 
-    The integration starts from the sub-intervals between a, the interior
-    ``breaks`` (where f is not smooth) and b, each with an equal share of
-    abs_tol.  Intervals whose two estimates differ by more than their share
-    are halved, at most max_depth times, and all intervals of one level go to
-    f in one call.  ConvergenceError carries the best estimate of the whole
-    integral.  Refinement also stops once the unresolved difference fails to
-    halve with the interval: the halved tolerance shares can then never be
-    met (rounding noise in a large action does this), and halving further
-    would only multiply the intervals.  An integral that leaves double range
-    (inf or NaN) raises InvalidInputError.
+    f(x, rows) takes the nodes x of intervals, one row each, and each row's owner.  An
+    owner starts from the k intervals between its edges (f need not be smooth at the
+    inner ones), each with a 1/k share of abs_tol.  Intervals whose two estimates
+    differ by more than their share are halved, at most max_depth times; one level of
+    up to _BATCH_OWNERS owners is one call of f.  An owner that does not converge gets
+    a ConvergenceError with the best estimate of its integral.  It also stops once its
+    unresolved difference fails to halve with the interval: the halved shares can then
+    never be met (rounding noise in a large action does this).  An integral that
+    leaves double range (inf or NaN) is an InvalidInputError.  Rows are summed one at a
+    time and owners by bincount, never by a matrix product whose rounding depends on
+    the batch, so each owner's result is bit for bit that of its intervals alone.
     """
-    nodes, w_coarse, w_fine = _gauss_legendre_rule()
-    edges = np.array([a, *breaks, b], dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    tol, total, pending_before = ctrl.abs_tol / lo.size, 0.0, math.inf
-    for depth in range(ctrl.max_depth + 1):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = f(mid[:, None] + half[:, None] * nodes)
-        coarse = half * (fx[:, :_GL_COARSE] @ w_coarse)
-        fine = half * (fx[:, _GL_COARSE:] @ w_fine)
-        residual = np.abs(fine - coarse)
-        done = residual <= tol
-        total += fine[done].sum()
-        if done.all():
-            if math.isfinite(total):
-                return float(total)
-            break
-        pending = float(residual[~done].sum())
-        if depth == ctrl.max_depth or not pending <= 0.5 * pending_before:  # NaN stops too
-            break
-        lo, hi, mid = lo[~done], hi[~done], mid[~done]
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        tol, pending_before = 0.5 * tol, pending
-    estimate = float(total + fine[~done].sum())
-    if not math.isfinite(estimate):
-        raise InvalidInputError(f"the integral leaves double range (estimate {estimate!r})")
-    raise ConvergenceError(
-        f"Gauss-Legendre quadrature did not reach abs_tol={ctrl.abs_tol:g} after {depth} of "
-        f"at most {ctrl.max_depth} halvings (achieved estimate {estimate!r}, "
-        f"residual ~{pending:.3e})",
-        estimate=estimate,
-        last_term=pending,
-    )
+    nodes, weights = _gauss_legendre_rule()
+    n, k = edges.shape[0], edges.shape[1] - 1
+    values, errors = np.empty(n), [None] * n
+    for start in range(0, n, _BATCH_OWNERS):
+        block = edges[start : start + _BATCH_OWNERS]
+        m, a, b = block.shape[0], block[:, :-1].ravel(), block[:, 1:].ravel()
+        local, tol, total, pending_before = np.arange(m).repeat(k), ctrl.abs_tol / k, 0.0, math.inf
+        for depth in range(ctrl.max_depth + 1):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            wfx = f(mid[:, None] + half[:, None] * nodes, local + start) * weights
+            coarse = half * np.add.reduce(wfx[:, :_GL_COARSE], axis=1)
+            fine = half * np.add.reduce(wfx[:, _GL_COARSE:], axis=1)
+            residual = np.abs(fine - coarse)
+            done = residual <= tol
+            if np.logical_and.reduce(done):
+                total = total + np.bincount(local, fine, m)
+                break
+            total = total + np.bincount(local[done], fine[done], m)
+            pending = np.bincount(local[~done], residual[~done], m)
+            # an open interval has a residual above its share >= 0, or NaN
+            stop = ~(pending <= 0.0) & ((depth == ctrl.max_depth) | ~(pending <= 0.5 * pending_before))
+            if stop.any():
+                total[stop] += np.bincount(local[~done], fine[~done], m)[stop]
+                for i in np.flatnonzero(stop).tolist():
+                    errors[start + i] = ConvergenceError(
+                        f"Gauss-Legendre quadrature did not reach abs_tol={ctrl.abs_tol:g} after "
+                        f"{depth} of at most {ctrl.max_depth} halvings (achieved estimate "
+                        f"{total[i].item()!r}, residual ~{pending[i]:.3e})",
+                        estimate=total[i].item(),
+                        last_term=pending[i].item(),
+                    )
+            keep = ~done & ~stop[local]
+            if not keep.any():
+                break
+            a, b, mid, local = a[keep], b[keep], mid[keep], np.tile(local[keep], 2)
+            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+            tol, pending_before = 0.5 * tol, pending
+        values[start : start + m] = total
+    for i, value in enumerate(values.tolist()):
+        if not math.isfinite(value):
+            errors[i] = InvalidInputError(f"the integral leaves double range (estimate {value!r})")
+    return values, errors
 
 
 def _on_array(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -144,49 +154,49 @@ def _on_array(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]
     return lambda x: np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _action(
-    v: Callable[[np.ndarray], np.ndarray],
-    energy: float,
-    region: BarrierRegion,
-    ctrl: QuadratureControl,
-    breaks: tuple[float, ...] = (),
-) -> float:
-    """Integral of sqrt(V(x) - E) over the region, for an array function V.
+def _actions(v, energies: np.ndarray, x1, x2, source: RegionSource, ctrl: QuadratureControl,
+             breaks: tuple[float, ...] = (), checks: list = ()) -> tuple[np.ndarray, list]:
+    """Integral of sqrt(V(x) - E) over the region (x1, x2) at each energy of the array:
+    an array and, per energy, None or its error; the first of ``checks`` (mask, error
+    class, message) comes before those of the quadrature.  v is an array function;
+    fixed limits x1 and x2 are numbers, solved turning points arrays of one per energy.
 
-    V must satisfy V >= E on the region; dips below E - 1e-12 raise
-    InvalidInputError, smaller negatives are clamped to zero under the
-    radical.  Fixed limits are integrated in x, split at ``breaks``, with V
-    also checked at both ends (the Gauss nodes are interior points).  Between
-    solved turning points the region is split at its midpoint and substituted
-    u^2 = x - x1 (resp. x2 - x), which turns the square-root edge into a
-    smooth function of u; the two halves are s = u in [0, L] and s = -u in
-    [-R, 0] of one integral, split at s = 0.  Values of V or of the integral
-    that overflow do so silently; an infinite action raises InvalidInputError.
+    V must satisfy V >= E on the region; dips below E - 1e-12 are an InvalidInputError,
+    smaller negatives are clamped to zero under the radical.  Fixed limits are
+    integrated in x, split at ``breaks``, with V also checked at both ends (the Gauss
+    nodes are interior points).  Between solved turning points the region is split at
+    its midpoint and substituted u^2 = x - x1 (resp. x2 - x), which turns the
+    square-root edge into a smooth function of u; the two halves are s = u in [0, L]
+    and s = -u in [-R, 0] of one integral, split at s = 0.  Values of V or of the
+    integral that overflow do so silently; an infinite action is an InvalidInputError.
     """
+    below = np.zeros(energies.size, dtype=bool)  # V < E at a node
 
-    def sqrt_gap(x: np.ndarray) -> np.ndarray:
-        gap = v(x) - energy
-        worst = int(np.argmin(gap))
-        if gap.flat[worst] < -_NEGATIVE_SLACK:
-            raise InvalidInputError(
-                f"V(x) < E inside the barrier region at x = {float(x.flat[worst])!r} "
-                f"(V - E = {float(gap.flat[worst])!r}); shrink the region or use solved "
-                f"turning points"
-            )
+    def sqrt_gap(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        gap = v(x) - energies[rows][:, None]
+        bad = gap < -_NEGATIVE_SLACK
+        if np.logical_or.reduce(bad, axis=None):
+            below[rows[bad.any(axis=1)]] = True
+            gap[bad] = math.nan  # which stops the quadrature of these energies
         return np.sqrt(np.maximum(gap, 0.0))
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return 2.0 * np.abs(s) * sqrt_gap(np.where(s > 0.0, x1 + s * s, x2 - s * s))
+    def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        ss = s * s
+        x = np.where(s > 0.0, x1[rows][:, None] + ss, x2[rows][:, None] - ss)
+        return 2.0 * np.abs(s) * sqrt_gap(x, rows)
 
-    x1, x2 = region.x1, region.x2
-    with np.errstate(over="ignore", invalid="ignore"):
-        if region.source is RegionSource.FIXED_LIMITS:
-            sqrt_gap(np.array([x1, x2]))
-            return _integrate_gauss_legendre(sqrt_gap, x1, x2, ctrl, breaks)
-        mid = 0.5 * (x1 + x2)
-        return _integrate_gauss_legendre(
-            integrand, -math.sqrt(x2 - mid), math.sqrt(mid - x1), ctrl, (0.0,)
+    if source is RegionSource.FIXED_LIMITS:
+        below |= v(np.array([x1, x2])).min() - energies < -_NEGATIVE_SLACK
+        actions, errors = _integrate_gauss_legendre(
+            sqrt_gap, np.tile((x1, *breaks, x2), (energies.size, 1)), ctrl
         )
+    else:
+        mid = 0.5 * (x1 + x2)
+        edges = np.array((-np.sqrt(x2 - mid), 0.0 * mid, np.sqrt(mid - x1))).T
+        actions, errors = _integrate_gauss_legendre(integrand, edges, ctrl)
+    checks = [*checks, (below, InvalidInputError, "V(x) < E = {!r} inside the barrier region; "
+                        "shrink the region or use solved turning points")]
+    return actions, [c or e for c, e in zip(first_errors(energies.tolist(), checks), errors)]
 
 
 def wkb_transmission(
@@ -202,8 +212,15 @@ def wkb_transmission(
     E - 1e-12 raise InvalidInputError, smaller negatives are clamped to zero
     under the radical.
     """
-    action = _action(_on_array(potential), energy, region, ctrl)
-    return math.exp(-2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar * action)
+    x1, x2 = region.x1, region.x2
+    if region.source is RegionSource.SOLVED_TURNING_POINTS:
+        x1, x2 = np.array([x1]), np.array([x2])
+    with np.errstate(all="ignore"):
+        (action,), (error,) = _actions(_on_array(potential), np.array([energy], dtype=float), x1, x2,
+                                       region.source, ctrl)
+    if error is not None:
+        raise error
+    return math.exp(-2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar * action.item())
 
 
 def find_turning_points(
@@ -250,17 +267,18 @@ def find_turning_points(
     return BarrierRegion(x1, x2, RegionSource.SOLVED_TURNING_POINTS)
 
 
-def hulthen_turning_point(p, energy: float) -> float:
-    """Closed-form |x| where the Hulthen branch crosses E: (1/a) log(q + v0/E)."""
-    if not 0 < energy < p.v0 / (1.0 - p.q):
-        raise NoBarrierError(
-            f"energy {energy!r} is not below the Hulthen peak {p.v0 / (1.0 - p.q)!r}"
-        )
-    return math.log(p.q + p.v0 / energy) / p.a
+def hulthen_turning_points(p, energies: np.ndarray) -> tuple[np.ndarray, list]:
+    """Closed-form |x| where the Hulthen branch crosses each energy, (1/a) log(q + v0/E),
+    and the check (mask, error class, message) of the energies not below the peak."""
+    peak = p.v0 / (1.0 - p.q)
+    edge = np.log(p.q + p.v0 / energies) / p.a
+    return edge, [(~((0 < energies) & (energies < peak)), NoBarrierError,
+                   f"energy {{!r}} is not below the Hulthen peak {peak!r}")]
 
 
-def eckart_turning_points(p, energy: float) -> BarrierRegion:
-    """Closed-form turning points of the Eckart profile.
+def eckart_turning_points(p, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Closed-form turning points x1 and x2 of the Eckart profile at each energy, and the
+    checks (mask, error class, message) of the energies that have none.
 
     With t = tanh(x/a) and sech^2 = 1 - t^2, V(x) = E is the quadratic
     -v0 t^2 + ((v+ - v-)/2) t + (mean + v0 - E) = 0.  Its values at t = -1 and
@@ -268,37 +286,35 @@ def eckart_turning_points(p, energy: float) -> BarrierRegion:
     is a barrier exactly when v0 > 0, the quadratic has real roots and its
     vertex lies in (-1, 1); both roots then lie in (-1, 1).
     """
-    if not energy > max(p.v_minus_inf, p.v_plus_inf):
-        raise NoBarrierError(
-            f"energy {energy!r} is not above both asymptotes "
-            f"(V-inf = {p.v_minus_inf!r}, V+inf = {p.v_plus_inf!r})"
-        )
-    if p.v0 > 0:
-        vertex = 0.25 * (p.v_plus_inf - p.v_minus_inf) / p.v0
-        # the roots are vertex -+ sqrt(spread_sq)
-        spread_sq = vertex * vertex + (0.5 * p.v_plus_inf + 0.5 * p.v_minus_inf - energy) / p.v0 + 1.0
-        if spread_sq > 0 and abs(vertex) < 1.0:
-            t1 = vertex - math.sqrt(spread_sq)
-            t2 = vertex + math.sqrt(spread_sq)
-            # x = (a/2) log((1 + t)/(1 - t)), with 1 + t1 and 1 - t2 taken from
-            # the values at t = -1 and +1, -v0 (1 + t1)(1 + t2) = v- - E and
-            # -v0 (1 - t1)(1 - t2) = v+ - E: accurate where a turning point lies far out
-            one_plus_t1 = (energy - p.v_minus_inf) / p.v0 / (1.0 + t2)
-            one_minus_t2 = (energy - p.v_plus_inf) / p.v0 / (1.0 - t1)
-            if min(one_plus_t1, one_minus_t2) == 0.0:
-                raise InvalidInputError(f"(E - V_inf)/v0 underflows at a turning point of {p!r}")
-            return BarrierRegion(
-                0.5 * p.a * math.log(one_plus_t1 / (1.0 - t1)),
-                0.5 * p.a * math.log((1.0 + t2) / one_minus_t2),
-                RegionSource.SOLVED_TURNING_POINTS,
-            )
-    raise NoBarrierError(f"V(x) never exceeds E = {energy!r} for {p!r}")
+    e, vm, vp = energies, p.v_minus_inf, p.v_plus_inf
+    v0 = p.v0 if p.v0 > 0 else math.nan  # no barrier at any energy
+    vertex = 0.25 * (vp - vm) / v0
+    # the roots are vertex -+ sqrt(spread_sq)
+    spread_sq = vertex * vertex + (0.5 * vp + 0.5 * vm - e) / v0 + 1.0
+    t1, t2 = vertex - np.sqrt(spread_sq), vertex + np.sqrt(spread_sq)
+    # x = (a/2) log((1 + t)/(1 - t)), with 1 + t1 and 1 - t2 taken from
+    # the values at t = -1 and +1, -v0 (1 + t1)(1 + t2) = v- - E and
+    # -v0 (1 - t1)(1 - t2) = v+ - E: accurate where a turning point lies far out
+    one_plus_t1 = (e - vm) / v0 / (1.0 + t2)
+    one_minus_t2 = (e - vp) / v0 / (1.0 - t1)
+    x1 = 0.5 * p.a * np.log(one_plus_t1 / (1.0 - t1))
+    x2 = 0.5 * p.a * np.log((1.0 + t2) / one_minus_t2)
+    above = e > max(vm, vp)
+    return x1, x2, [
+        (~above, NoBarrierError,
+         f"energy {{!r}} is not above both asymptotes (V-inf = {vm!r}, V+inf = {vp!r})"),
+        (~(above & (spread_sq > 0) & (abs(vertex) < 1.0)), NoBarrierError,
+         f"V(x) never exceeds E = {{!r}} for {p!r}"),
+        (np.minimum(one_plus_t1, one_minus_t2) == 0.0, InvalidInputError,
+         f"(E - V_inf)/v0 underflows at a turning point of {p!r}"),
+    ]
 
 
 def wkb_for_potential(
     p, energy: float, ctx: PhysicsContext, solve_turning_points: bool = False
 ) -> float:
-    """WKB transmission of the potential family ``p`` over the region it chooses.
+    """WKB transmission of the potential family ``p`` over the region it chooses: the
+    one-energy case of ``p.wkb``.
 
     Delta is excluded (distribution).  The rectangular barrier always uses its
     exact edges, where the action is 2a sqrt(v0 - E).  Hulthen defaults to the
@@ -306,5 +322,7 @@ def wkb_for_potential(
     its closed-form turning points.  The Eckart profile always uses its
     closed-form turning points (no conventional fixed window).
     """
-    action = p.wkb_action(energy, solve_turning_points)
-    return math.exp(-2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar * action)
+    (result,) = p.wkb([energy], ctx, solve_turning_points)
+    if isinstance(result, QscatError):
+        raise result
+    return result.transmission

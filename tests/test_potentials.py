@@ -82,7 +82,8 @@ class TestWavenumbers:
         r = Rectangular(v0=1.0, a=1.0)
         assert asymptotic_wavenumbers(r, 0.5, ctx) == pytest.approx((1.0, 1.0))
         # the WKB action 2a sqrt(v0 - E) is 2 Q a hbar / sqrt(2m), Q = 1
-        assert r.wkb_action(0.5) == pytest.approx(math.sqrt(2.0))
+        (action,), _ = r.wkb_actions(np.array([0.5]))
+        assert action == pytest.approx(math.sqrt(2.0))
 
     def test_delta_strength_scale(self, ctx):
         d = Delta(alpha=1.0)
@@ -103,7 +104,8 @@ class TestWavenumbers:
             assert k0_sq == pytest.approx(k**2 - q**2, rel=1e-12)
             energy = v0 * rng.uniform(0.01, 0.99)
             k, _ = asymptotic_wavenumbers(r, energy, ctx)
-            big_q = math.sqrt(2.0 * ctx.mass) / ctx.hbar * r.wkb_action(energy) / (2.0 * r.a)
+            (action,), _ = r.wkb_actions(np.array([energy]))
+            big_q = math.sqrt(2.0 * ctx.mass) / ctx.hbar * action / (2.0 * r.a)
             assert k0_sq == pytest.approx(k**2 + big_q**2, rel=1e-12)
 
     def test_degenerate_energy_rejected(self, ctx):

@@ -217,3 +217,11 @@ class TestKernelBackends:
         assert 0 < sum(converged) < len(rows)
         for row, s in zip(rows, stacked):
             assert _hyp2f1_series([row], 0.9, 1e-15, 300) == [s]  # value, terms, flag, last
+
+    def test_unconverged_nan_row_after_an_underflow(self):
+        # an underflow leaves errno set; the NaN last term of a row that did not
+        # converge must still come back as NaN, not as an OverflowError
+        assert np.float64(1e-200) ** 2 == 0.0
+        ((value, terms, converged, last),) = _hyp2f1_series([(1, 1 + 6666.666666666667j, 2)], 0.3, 1e-15, 20000)
+        assert cmath.isnan(value) and math.isnan(last)
+        assert (terms, converged) == (20000, False)

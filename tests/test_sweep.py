@@ -21,7 +21,7 @@ from qscat import (
     run_sweep,
     wkb_for_potential,
 )
-from qscat import exact, specfun
+from qscat import exact, specfun, wkb
 from qscat.errors import InvalidInputError, QscatError
 from qscat.exact import _connection_route, _hulthen_parameters
 from qscat.sweep import METHOD_ORDER, sweep_rows
@@ -115,6 +115,17 @@ class TestPurityAndDeterminism:
         assert errors[:23] == [None] * 23
         assert errors.count("noconv") == 48
         assert errors.count(None) == 52
+
+    def test_wkb_and_bound_rows_independent_of_batch(self, monkeypatch):
+        # the fixed-window actions of all 100 energies share Gauss-Legendre calls of
+        # wkb._BATCH_OWNERS energies; each row is still what the point gives alone
+        spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=0.02, hi=1.5, points=100,
+                         methods=frozenset({"wkb", "bound"}))
+        rows = run_sweep(spec)
+        assert rows == _point_by_point(spec)
+        monkeypatch.setattr(wkb, "_BATCH_OWNERS", 3)
+        assert run_sweep(spec) == rows
+        assert {r.results["wkb"].error for r in rows} == {None, "invalid"}
 
     def test_hulthen_rows_independent_of_points_per_call(self, monkeypatch):
         # a long sweep splits each route into calls of _BATCH_POINTS points
@@ -326,6 +337,7 @@ METHOD_BATCHES = {
     ]),
     "wkb-hulthen": ("wkb", Hulthen(1.0, 0.5, 0.9), NATURAL_UNITS, [
         (0.02, None), (0.5, None), (5.0, "invalid"),  # V < E in the fixed window
+        (0.0, "wrongcase"), (-1.0, "wrongcase"),  # no channel propagates
     ]),
     "wkb-delta": ("wkb", Delta(1.0), NATURAL_UNITS, [(0.5, "unsupported"), (2.0, "unsupported")]),
     "bound-rect": ("bound", Rectangular(1.0, 1.0), NATURAL_UNITS, [

@@ -9,6 +9,7 @@ import pytest
 from oracles import mp_wkb_transmission, probabilities_from_amplitudes
 
 from qscat import (
+    NATURAL_UNITS,
     BarrierRegion,
     Delta,
     Eckart,
@@ -25,6 +26,7 @@ from qscat.errors import (
     ConvergenceError,
     InvalidInputError,
     NoBarrierError,
+    QscatError,
     UnsupportedOperationError,
     WrongCaseError,
 )
@@ -32,9 +34,10 @@ from qscat import wkb
 from qscat.wkb import (
     DEFAULT_QUADRATURE,
     RegionSource,
+    _actions,
     _integrate_gauss_legendre,
     eckart_turning_points,
-    hulthen_turning_point,
+    hulthen_turning_points,
 )
 
 
@@ -104,13 +107,12 @@ class TestFamilyTurningPoints:
 
     def test_eckart_closed_form_roots(self):
         e, energy = self.ASYMMETRIC, 1.0
-        region = eckart_turning_points(e, energy)
-        assert region.source is RegionSource.SOLVED_TURNING_POINTS
-        for x in (region.x1, region.x2):
+        (x1,), (x2,), _ = eckart_turning_points(e, np.array([energy]))
+        for x in (x1, x2):
             assert abs(e.values(x) - energy) <= 1e-12
         scanned = find_turning_points(lambda x: e.values(x), energy, (-50.0, 50.0))
-        assert region.x1 == pytest.approx(scanned.x1, abs=1e-10)
-        assert region.x2 == pytest.approx(scanned.x2, abs=1e-10)
+        assert x1 == pytest.approx(scanned.x1, abs=1e-10)
+        assert x2 == pytest.approx(scanned.x2, abs=1e-10)
 
     def test_eckart_no_barrier(self, ctx):
         e = self.ASYMMETRIC
@@ -127,10 +129,10 @@ class TestFamilyTurningPoints:
         e = self.ASYMMETRIC
         v = _mp_eckart(e)
         for energy in (0.6, 1.0, 3.0):
-            region = eckart_turning_points(e, energy)
+            (x1,), (x2,), _ = eckart_turning_points(e, np.array([energy]))
             with mp.workdps(30):
-                x1 = mp.findroot(lambda x: v(x) - energy, region.x1)
-                x2 = mp.findroot(lambda x: v(x) - energy, region.x2)
+                x1 = mp.findroot(lambda x: v(x) - energy, x1)
+                x2 = mp.findroot(lambda x: v(x) - energy, x2)
             expected = mp_wkb_transmission(v, energy, x1, x2)
             assert wkb_for_potential(e, energy, ctx) == pytest.approx(expected, rel=1e-9)
 
@@ -156,7 +158,7 @@ class TestFamilyTurningPoints:
         # the estimate is that of the whole action, in every path that integrates;
         # each case runs on the module's DEFAULT_QUADRATURE, read when it is called
         h, e = Hulthen(v0=1.0, a=0.5, q=0.9), self.ASYMMETRIC
-        edge = hulthen_turning_point(h, 1.0)
+        (edge,), _ = hulthen_turning_points(h, np.array([1.0]))
         solved = BarrierRegion(-edge, edge, RegionSource.SOLVED_TURNING_POINTS)
         cases = [
             lambda: wkb_for_potential(h, 1.0, ctx),
@@ -237,7 +239,7 @@ class TestTurningPoints:
     def test_hulthen_closed_form_inversion(self):
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
         energy = 0.5
-        edge = hulthen_turning_point(h, energy)
+        (edge,), _ = hulthen_turning_points(h, np.array([energy]))
         assert edge == pytest.approx(2.0 * math.log(2.9), rel=1e-12)
         region = find_turning_points(lambda x: h.values(x), energy, (-6.0, 6.0))
         assert region.source is RegionSource.SOLVED_TURNING_POINTS
@@ -288,19 +290,106 @@ class TestAccuracyTrend:
         assert abs_err(100.0) < 1e-12 * abs_err(1.0)
 
 
+def _integral(f, a, b, ctrl):
+    """The integral of the array function f over [a, b], as the one owner of a call."""
+    (value,), (error,) = _integrate_gauss_legendre(lambda x, rows: f(x), np.array([[a, b]]), ctrl)
+    if error is not None:
+        raise error
+    return value
+
+
 class TestGaussLegendre:
     def test_polynomial_is_exact(self):
         # 48 nodes already integrate polynomials up to degree 95 exactly
-        got = _integrate_gauss_legendre(lambda x: x**3 - 2 * x + 1, 0.0, 2.0, DEFAULT_QUADRATURE)
+        got = _integral(lambda x: x**3 - 2 * x + 1, 0.0, 2.0, DEFAULT_QUADRATURE)
         assert got == pytest.approx(2.0, rel=1e-14)
 
     def test_sqrt_endpoint_needs_extra_depth_without_substitution(self):
         # a bare sqrt edge converges only after halving toward it; the
         # turning-point path avoids this by substituting u^2 = x - x1
         with pytest.raises(ConvergenceError):
-            _integrate_gauss_legendre(np.sqrt, 0.0, 1.0, QuadratureControl(1e-10, 1))
-        got = _integrate_gauss_legendre(np.sqrt, 0.0, 1.0, DEFAULT_QUADRATURE)
+            _integral(np.sqrt, 0.0, 1.0, QuadratureControl(1e-10, 1))
+        got = _integral(np.sqrt, 0.0, 1.0, DEFAULT_QUADRATURE)
         assert got == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_empty_interval(self):
-        assert _integrate_gauss_legendre(np.ones_like, 1.0, 1.0, DEFAULT_QUADRATURE) == 0.0
+        assert _integral(np.ones_like, 1.0, 1.0, DEFAULT_QUADRATURE) == 0.0
+
+
+
+def _key(row):
+    """A wkb row as a comparable value: the MethodResult, or the error's class,
+    message and estimate."""
+    if isinstance(row, QscatError):
+        return type(row), str(row), getattr(row, "estimate", None)
+    return row
+
+
+def _same_rows(p, energies, solve_turning_points=False):
+    """p.wkb at each energy, checked bit for bit against the energy's own one-energy
+    batch and against wkb_for_potential's number or error.  Returns the row keys."""
+    batch = [_key(row) for row in p.wkb(energies, NATURAL_UNITS, solve_turning_points)]
+    for energy, row in zip(energies, batch):
+        assert [_key(r) for r in p.wkb([energy], NATURAL_UNITS, solve_turning_points)] == [row]
+        try:
+            value = wkb_for_potential(p, energy, NATURAL_UNITS, solve_turning_points)
+        except QscatError as exc:
+            assert _key(exc) == row
+        else:
+            assert row.transmission == value
+    return batch
+
+
+def _codes(keys):
+    return [key[0].code if isinstance(key[0], type) else None for key in keys]
+
+
+class TestBatchedIntegrator:
+    """The actions of many energies share one Gauss-Legendre call, yet every energy
+    refines on its own and gets what it gets alone."""
+
+    H = Hulthen(v0=1.0, a=0.5, q=0.9)
+
+    def test_number_and_noconv_rows(self, monkeypatch):
+        # at max_depth 1, E = 0.5 converges and E just below V(1) does not
+        monkeypatch.setattr(wkb, "DEFAULT_QUADRATURE", QuadratureControl(abs_tol=1e-10, max_depth=1))
+        near_edge = float(self.H.values(1.0)) - 1e-6
+        rows = _same_rows(self.H, [0.5, near_edge, 0.02, near_edge])
+        assert _codes(rows) == [None, "noconv", None, "noconv"]
+        assert rows[1] == rows[3] and math.isfinite(rows[1][2])
+
+    def test_below_energy_row_next_to_numbers(self):
+        rows = _same_rows(self.H, [0.02, 5.0, 0.5, float(self.H.values(1.0)) + 1e-9])
+        assert _codes(rows) == [None, "invalid", None, "invalid"]
+
+    def test_nonpositive_energies_are_wrongcase(self):
+        rows = _same_rows(self.H, [0.5, 0.0, -1.0])
+        assert _codes(rows) == [None, "wrongcase", "wrongcase"]
+
+    def test_below_energy_found_next_to_a_nan_row(self):
+        # V dips below E = 0.5 inside the window only; a NaN node of another energy
+        # in the same call must not hide it, even where the clamped integrand would
+        # meet the (loose) tolerance at the first level
+        def v(x):
+            return 1.0 - 2.0 * np.exp(-100.0 * x * x)
+
+        for energies in ([0.5], [math.nan, 0.5]):
+            with np.errstate(all="ignore"):
+                _, errors = _actions(v, np.array(energies), -1.0, 1.0, RegionSource.FIXED_LIMITS,
+                                     QuadratureControl(abs_tol=1.0))
+            assert isinstance(errors[-1], InvalidInputError) and "V(x) < E" in str(errors[-1])
+
+    @pytest.mark.parametrize("p, energies", [
+        (H, [0.05, 0.5, 5.0, 9.9, 10.0, 12.0, 0.0]),  # the peak is v0 / (1 - q) = 10
+        (Eckart(v_minus_inf=0.0, v_plus_inf=0.5, v0=3.0, a=1.0), [0.6, 1.0, 3.0, 0.4, 10.0]),
+    ])
+    def test_solved_turning_points(self, p, energies):
+        rows = _same_rows(p, energies, solve_turning_points=True)
+        assert set(_codes(rows)) == {None, "nobarrier"}
+
+    @pytest.mark.parametrize("p", [H, Eckart(0.0, 0.0, 1.0, 1.0)])
+    def test_batch_longer_than_one_block(self, p, monkeypatch):
+        energies = np.linspace(0.02, 1.0, 3 * wkb._BATCH_OWNERS + 5).tolist()
+        rows = _same_rows(p, energies)
+        monkeypatch.setattr(wkb, "_BATCH_OWNERS", 4)
+        assert [_key(row) for row in p.wkb(energies, NATURAL_UNITS)] == rows
