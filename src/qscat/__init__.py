@@ -38,7 +38,16 @@ from .resonance import (
     analytic_resonances,
     numeric_resonances,
 )
-from .sweep import MethodResult, SweepRow, SweepSpec, evaluate_methods, run_sweep, sweep_rows
+from .sweep import (
+    MethodResult,
+    SweepRow,
+    SweepSpec,
+    SweepTable,
+    evaluate_methods,
+    evaluate_table,
+    run_sweep,
+    sweep_rows,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -15,12 +15,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .core import PhysicsContext, each, method_result
+from .core import PhysicsContext
 from .errors import QscatError, UnsupportedOperationError
 from .potentials import Delta, Eckart, Hulthen, PotentialSpec, Rectangular
 from .exact import eckart_reflection_paper
 from .resonance import Kind, ResonanceListing, analytic_resonances, numeric_resonances
-from .sweep import METHOD_ORDER, SweepRow, SweepSpec, evaluate_methods, run_sweep, sweep_rows
+from .sweep import (METHOD_ORDER, MethodCells, SweepSpec, SweepTable, evaluate_table, run_sweep,
+                    sweep_rows)
 
 _USAGE_EXIT = 2
 _IO_EXIT = 3
@@ -54,7 +55,7 @@ def _format_repr(s: str) -> str:
     return mantissa + ("" if "." in mantissa else ".") + "0" * missing + e + exponent
 
 
-# each method's CSV columns and the MethodResult field behind each
+# each method's CSV columns and the MethodCells field behind each
 _COLUMNS = {
     "exact": (("exact_T", "transmission"), ("exact_R", "reflection"), ("exact_defect", "defect")),
     "wkb": (("wkb_T", "transmission"),),
@@ -86,27 +87,33 @@ def _format_column(cells: list) -> list[str]:
     ]
 
 
-def _table_rows(rows, methods: frozenset[str]) -> list[tuple[str, ...]]:
-    """The CSV cells of each sweep row (variable, each method's columns, bound_gap),
-    rendered column by column."""
-    columns = [[row.variable_value for row in rows]]
+def _table_rows(table: SweepTable, methods: frozenset[str]) -> list[tuple[str, ...]]:
+    """The CSV cells of each row of a sweep table (variable, each method's columns,
+    bound_gap), rendered column by column; a method the table lacks is ERR:na."""
+    n = len(table)
+    columns = [table.values]
     for m in METHOD_ORDER:
         if m not in methods:
             continue
-        results = [row.results.get(m) for row in rows]
-        for _, field in _COLUMNS[m]:
-            columns.append([
-                getattr(res, field) if res is not None and res.error is None
-                else f"ERR:{res.error if res is not None else 'na'}"
-                for res in results
-            ])
+        cells = table.columns.get(m) or MethodCells([None] * n, None, None, ["na"] * n)
+        codes = cells.codes
+        failed = [i for i, code in enumerate(codes) if code is not None] if any(codes) else []
+        for _, name in _COLUMNS[m]:
+            column = getattr(cells, name) or [None] * n
+            if failed:
+                column = column[:]
+                for i in failed:
+                    column[i] = f"ERR:{codes[i]}"
+            columns.append(column)
     if "exact" in methods and "bound" in methods:
-        columns.append([row.bound_gap for row in rows])
+        columns.append(table.bound_gap)
     return list(zip(*map(_format_column, columns)))
 
 
 def render_sweep_csv(rows, methods: frozenset[str]) -> str:
-    """Deterministic LF-terminated CSV for a list of sweep rows."""
+    """Deterministic LF-terminated CSV for a sweep table, or a list of sweep rows."""
+    if not isinstance(rows, SweepTable):
+        rows = SweepTable.from_rows(rows, methods)
     lines = [",".join(["var"] + _method_columns(methods))]
     lines += map(",".join, _table_rows(rows, methods))
     return "\n".join(lines) + "\n"
@@ -209,19 +216,26 @@ def _cmd_eval(args) -> int:
     convention = getattr(args, "r_convention", None)
     if convention and not isinstance(potential, Eckart):
         raise QscatError("--r-convention applies to --potential eckart only")
-    results, bound_gap = evaluate_methods(potential, args.energy, methods, ctx)
     header = ["energy"] + _method_columns(methods)
-    cells = list(_table_rows([SweepRow(args.energy, results, bound_gap)], methods)[0])
+    cells = list(_table_rows(evaluate_table(potential, [args.energy], methods, ctx), methods)[0])
     if convention:
         header.append(f"exact_R_{convention}")
-        (r_alt,) = each(lambda energy: method_result(
-            "exact", None, eckart_reflection_paper(potential, energy, ctx, convention)
-        ), [args.energy])
-        cells.append(f"ERR:{r_alt.code}" if isinstance(r_alt, QscatError)
-                     else format_number(r_alt.reflection))
+        cells.append(_reflection_cell(potential, args.energy, ctx, convention))
     print(",".join(header))
     print(",".join(cells))
     return 0
+
+
+def _reflection_cell(potential, energy, ctx, convention) -> str:
+    """The --r-convention cell: the literature reflection value, or ERR:<code> where it
+    raises, ERR:invalid where its intermediates leave double range or it is not finite."""
+    try:
+        value = eckart_reflection_paper(potential, energy, ctx, convention)
+    except QscatError as exc:
+        return f"ERR:{exc.code}"
+    except ArithmeticError:
+        value = math.nan
+    return format_number(value) if math.isfinite(value) else "ERR:invalid"
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +310,11 @@ def _probability_curve(spec: SweepSpec, kind: Kind):
     """Exact T or R at a list of values of the spec's variable, as one sweep batch."""
 
     def curve(xs: list[float]) -> list[float]:
-        out = []
-        for row in sweep_rows(spec, xs):
-            res = row.results["exact"]
-            if res.error is not None:
-                raise QscatError(
-                    f"exact evaluation failed at {spec.variable}={row.variable_value!r}: "
-                    f"ERR:{res.error}"
-                )
-            out.append(res.transmission if kind is Kind.TRANSMISSION else res.reflection)
-        return out
+        exact = sweep_rows(spec, xs).columns["exact"]
+        for x, code in zip(xs, exact.codes):
+            if code is not None:
+                raise QscatError(f"exact evaluation failed at {spec.variable}={x!r}: ERR:{code}")
+        return exact.transmission if kind is Kind.TRANSMISSION else exact.reflection
 
     return curve
 

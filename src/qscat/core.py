@@ -1,4 +1,4 @@
-"""Shared domain types, and the one rule that makes a failed point a value.
+"""Shared domain types, and the rules that make a failed point a value.
 
 Complex amplitudes are plain Python ``complex`` values.  Natural units
 (hbar = m = 1) are the default everywhere and can be overridden through
@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidInputError, QscatError
+import numpy as np
+
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,17 @@ class ScatteringAmplitudes:
     r: complex
 
 
+class MethodColumns(NamedTuple):
+    """One method's results at an array of points: T and, for the exact method, R and
+    the defect |T + R - 1| as float arrays (None for a method without them), and per
+    point None or its error."""
+
+    transmission: np.ndarray
+    reflection: np.ndarray | None
+    defect: np.ndarray | None
+    errors: list
+
+
 class MethodResult(NamedTuple):
     """One method's labeled output at a single grid point."""
 
@@ -54,12 +67,18 @@ class MethodResult(NamedTuple):
     error: str | None = None
 
 
-def method_result(method: str, *values: float | None) -> MethodResult | InvalidInputError:
-    """MethodResult(method, *values) for values (T, R, defect) or the first of them, or
-    an InvalidInputError when one that is not None is not finite."""
-    if all(value is None or math.isfinite(value) for value in values):
-        return MethodResult(method, *values)
-    return InvalidInputError(f"the {method} result is not finite")
+def method_columns(method: str, errors: list, transmission: np.ndarray,
+                   reflection: np.ndarray | None = None, defect=None) -> MethodColumns:
+    """MethodColumns of the arrays T (and R and the defect, given together) and the
+    per-point errors, where a point without an error gets an InvalidInputError when
+    one of its values is not finite."""
+    finite = np.isfinite(transmission)
+    if reflection is not None:
+        finite &= np.isfinite(reflection) & np.isfinite(defect)
+    if not finite.all():
+        error = InvalidInputError(f"the {method} result is not finite")
+        errors = [e if e is not None or ok else error for e, ok in zip(errors, finite.tolist())]
+    return MethodColumns(transmission, reflection, defect, errors)
 
 
 def first_errors(values: list, checks) -> list:
@@ -71,17 +90,3 @@ def first_errors(values: list, checks) -> list:
             if errors[i] is None:
                 errors[i] = error(message.format(values[i]))
     return errors
-
-
-def each(f, items) -> list:
-    """f(item) at each item, or the error it raises there: a QscatError as it is, an
-    ArithmeticError (intermediates that leave double range) as an InvalidInputError."""
-    out = []
-    for item in items:
-        try:
-            out.append(f(item))
-        except QscatError as exc:
-            out.append(exc)
-        except ArithmeticError as exc:
-            out.append(InvalidInputError(f"intermediates leave double range: {exc}"))
-    return out

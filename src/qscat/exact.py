@@ -81,6 +81,15 @@ def _pow2(x) -> np.ndarray:
         return np.array([_pow2_one(v) for v in values], dtype=float)
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    # math.exp at each element: numpy's exp differs in the last bit
+    return np.array([math.exp(v) for v in x.tolist()], dtype=float)
+
+
+def _expm1(x: np.ndarray) -> np.ndarray:
+    return np.array([math.expm1(v) for v in x.tolist()], dtype=float)
+
+
 def probability_arrays(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T = |t|^2, R = |r|^2 and the defect |T + R - 1| at each element of the complex
     arrays t and r, bit for bit Python's abs(t) ** 2, abs(r) ** 2 and
@@ -179,9 +188,9 @@ def _rect_above(k, q, a):
 def _rect_below(k, big_q, a):
     # (t, r, where Python's ** overflows) of the tunnelling branch, scaled by e^{-2Qa}
     kk, qq = _pow2(k), _pow2(big_q)
-    exponent = (-4.0 * big_q * a).tolist()
-    decay = np.array([math.exp(x) for x in exponent], dtype=float)
-    sh = -0.5 * np.array([math.expm1(x) for x in exponent], dtype=float)  # e^{-2Qa} sinh(2Qa)
+    exponent = -4.0 * big_q * a
+    decay = _exp(exponent)
+    sh = -0.5 * _expm1(exponent)  # e^{-2Qa} sinh(2Qa)
     ch = 0.5 * (1.0 + decay)  # e^{-2Qa} cosh(2Qa)
     interior = _cmul(_cmul(_cmul((0.0, 2.0), (k, 0.0)), (big_q, 0.0)), (ch, 0.0))
     denom = ((kk - qq) * sh + interior[0], 0.0 + interior[1])
@@ -275,8 +284,10 @@ def _scaled_cosh(y: float, scale: float) -> float:
     return 0.5 * (math.exp(abs(y) - scale) + math.exp(-abs(y) - scale))
 
 
-def eckart_transmission(p, energy: float, ctx: PhysicsContext) -> float:
-    """Transmission probability for the Eckart profile ``p``.
+def eckart_transmission_grid(p, energies, ctx: PhysicsContext, v0=None) -> tuple[np.ndarray, list]:
+    """Transmission probability for the Eckart profile ``p`` at each energy, with the
+    height v0 of each point from the array ``v0`` (``p.v0`` at every point when None):
+    an array and, per point, None or its error.
 
     T = sinh(A) sinh(B) / [sinh^2(C) + cos^2(pi s)],  A = pi k- a, B = pi k+ a,
     C = pi kbar a, s = sqrt(d), d = 1/4 - g, g = 2 m v0 a^2 / hbar^2; cos(i x) is
@@ -287,23 +298,56 @@ def eckart_transmission(p, energy: float, ctx: PhysicsContext) -> float:
     c = cos(pi s), with c^2 e^{-2C} taken in log space in the cosh branch.  For
     d >= 0, c = sin(pi (1/2 - s)) = sin(pi g / (1/2 + s)), which does not cancel
     to rounding noise as g goes to 0.
+
+    A point's error is WrongCaseError where either asymptotic channel is evanescent,
+    else InvalidInputError where T is not finite (intermediates that leave double
+    range).  Every operation is Python's scalar one, in its order (x**2, sin, exp,
+    expm1 and log1p per element from Python), so each point is bit for bit the
+    scalar formula.
     """
-    k_minus, k_plus = asymptotic_wavenumbers(p, energy, ctx)
-    big_a, big_b = math.pi * k_minus * p.a, math.pi * k_plus * p.a
-    big_c = 0.5 * (big_a + big_b)
-    g = 2.0 * ctx.mass * p.v0 * p.a**2 / ctx.hbar**2
-    d = 0.25 - g
-    if d >= 0.0:
-        shape = 4.0 * math.sin(math.pi * g / (0.5 + math.sqrt(d))) ** 2 * math.exp(-2.0 * big_c)
-    else:
+    e = np.asarray(energies, dtype=float)
+    v0 = np.full(e.size, float(p.v0)) if v0 is None else np.asarray(v0, dtype=float)
+    v_minus, v_plus = p.asymptotes()
+    try:
+        two_m_over_h2, a_sq, h_sq = 2.0 * ctx.mass / ctx.hbar**2, p.a**2, ctx.hbar**2
+    except ArithmeticError:  # Python's ** or / leaves double range: every point is invalid
+        two_m_over_h2 = a_sq = h_sq = math.nan
+    with np.errstate(all="ignore"):
+        big_a = math.pi * np.sqrt(two_m_over_h2 * (e - v_minus)) * p.a
+        big_b = math.pi * np.sqrt(two_m_over_h2 * (e - v_plus)) * p.a
+        big_c = 0.5 * (big_a + big_b)
+        g = 2.0 * ctx.mass * v0 * a_sq / h_sq
+        d = 0.25 - g
+        sine = d >= 0.0
+        shape = np.empty(e.size)
+        arg = (math.pi * g[sine] / (0.5 + np.sqrt(d[sine]))).tolist()
+        # sin of an infinite argument has no value: NaN, so the point is invalid
+        sin_sq = np.array([math.sin(x) ** 2 if math.isfinite(x) else math.nan for x in arg])
+        shape[sine] = 4.0 * sin_sq * _exp(-2.0 * big_c[sine])
         # 4 cosh^2(y) e^{-2C} = exp(2 (y - C + log1p(e^{-2y})))
-        y = math.pi * math.sqrt(-d)
-        log_shape = 2.0 * (y - big_c + math.log1p(math.exp(-2.0 * y)))
-        if log_shape > _LOG_FLOAT_MAX:
-            return 0.0  # T < e^{-709}: below the smallest normal double
-        shape = math.exp(log_shape)
-    num = math.expm1(-2.0 * big_a) * math.expm1(-2.0 * big_b)
-    return num / (math.expm1(-2.0 * big_c) ** 2 + shape)
+        y = math.pi * np.sqrt(-d[~sine])
+        log1p_term = np.array([math.log1p(x) for x in _exp(-2.0 * y).tolist()])
+        log_shape = 2.0 * (y - big_c[~sine] + log1p_term)
+        tiny = log_shape > _LOG_FLOAT_MAX  # T < e^{-709}: below the smallest normal double
+        shape[~sine] = _exp(np.where(tiny, 0.0, log_shape))
+        num = _expm1(-2.0 * big_a) * _expm1(-2.0 * big_b)
+        t = num / (_pow2(_expm1(-2.0 * big_c)) + shape)
+    t[np.flatnonzero(~sine)[tiny]] = 0.0
+    return t, first_errors(e.tolist(), [
+        (e <= max(v_minus, v_plus), WrongCaseError,
+         f"energy {{!r}} does not propagate in both asymptotic channels "
+         f"(V-inf = {v_minus!r}, V+inf = {v_plus!r})"),
+        (~np.isfinite(t), InvalidInputError, "Eckart transmission at energy {!r} leaves double range"),
+    ])
+
+
+def eckart_transmission(p, energy: float, ctx: PhysicsContext) -> float:
+    """Transmission probability for the Eckart profile ``p`` at one energy: the
+    one-point case of eckart_transmission_grid; raises its error."""
+    (t,), (error,) = eckart_transmission_grid(p, [energy], ctx)
+    if error is not None:
+        raise error
+    return t.item()
 
 
 def eckart_reflection_paper(
@@ -346,7 +390,8 @@ def eckart_reflection_paper(
     # cos(pi b), which is cosh(pi sqrt(-d)) once d < 0
     scale = max(abs(y_num), abs(y_den))
     if d >= 0.0:
-        cb = math.cos(math.pi * math.sqrt(d)) * math.exp(-scale)
+        # cos of an infinite argument (d = inf) has no value: NaN
+        cb = math.cos(math.pi * math.sqrt(d)) * math.exp(-scale) if d < math.inf else math.nan
     else:
         y_b = math.pi * math.sqrt(-d)
         scale = max(scale, y_b)

@@ -1,11 +1,12 @@
 """The four potential families; each class is the one place that knows its own.
 
 Every family answers the same questions: V(x) on scalars or numpy arrays
-(``values``), the asymptotes, the swept variables and how a value of one maps
-to a (potential, energy) point (``sweep_map``), the exact, WKB and bound results
-at a list of energies (``wkb`` and ``bound`` are shared array computations on
-``wkb_actions`` and ``bound_area``), the WKB actions on an array of energies and
-their region, the area behind the sech^2 bound, and the analytic resonances.
+(``values``), the asymptotes, the swept variables and how an array of values of
+one maps to energies, swept parameters and per-point errors (``sweep_map``), the
+exact, WKB and bound results at an array of energies as one ``core.MethodColumns``
+each (``wkb`` and ``bound`` are shared array computations on ``wkb_actions`` and
+``bound_area``), the WKB actions on an array of energies and their region, the area
+behind the sech^2 bound, and the analytic resonances.
 ``_Family`` answers the rest with an UnsupportedOperationError (asymptotes 0,
 E the only swept variable), so a family states only what it has: the delta
 potential is a distribution and exists only through its closed-form results.
@@ -21,7 +22,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .bound import _sech_sq, bound_integrals
-from .core import each, first_errors, method_result
+from .core import MethodColumns, first_errors, method_columns
 from .errors import (
     DegenerateEnergyError,
     InvalidInputError,
@@ -29,8 +30,10 @@ from .errors import (
     WrongCaseError,
 )
 from .exact import (
+    _pow2,
     delta_amplitudes_grid,
     eckart_transmission,
+    eckart_transmission_grid,
     hulthen_amplitudes_grid,
     probability_arrays,
     rectangular_amplitudes_grid,
@@ -45,39 +48,63 @@ _REFLECTION_AT_K0 = ResonanceListing(
 )
 
 
-def _grid_results(grid) -> list:
-    """The exact MethodResult at each point of a closed-form grid (t, r, errors), or
-    the point's error."""
+def _grid_columns(grid) -> MethodColumns:
+    """The exact MethodColumns of a closed-form grid (t, r, errors)."""
     t, r, errors = grid
-    columns = (x.tolist() for x in probability_arrays(t, r))
-    return [
-        error or method_result("exact", transmission, reflection, defect)
-        for error, transmission, reflection, defect in zip(errors, *columns)
-    ]
+    return method_columns("exact", errors, *probability_arrays(t, r))
+
+
+def _kinetic_points(xs, offset, ctx) -> tuple[np.ndarray, list]:
+    """The energies offset + (hbar x)^2 / 2m at the wavenumbers xs, with x**2 per element
+    from Python, and the check (mask, error class, message) of the values where Python's
+    ** overflows."""
+    with np.errstate(all="ignore"):
+        hx = ctx.hbar * xs
+        hx_sq = _pow2(hx)
+        energies = offset + hx_sq / (2.0 * ctx.mass)
+    return energies, [(
+        np.isinf(hx_sq) & np.isfinite(hx), InvalidInputError, "intermediates leave double range at {!r}")]
 
 
 class _Family:
     """What a family lacks, and the WKB and bound every family has.  ``exact`` (each
-    family's own), ``wkb`` and ``bound`` return one MethodResult or QscatError per
-    energy.  The 2F1 series and the quadrature run on ``specfun.DEFAULT_SERIES`` and
-    ``wkb.DEFAULT_QUADRATURE``, read at each call."""
+    family's own), ``wkb`` and ``bound`` return one MethodColumns for all energies;
+    the keyword arguments of a swept parameter (see ``sweep_map``) give each point its
+    own potential.  The 2F1 series and the quadrature run on ``specfun.DEFAULT_SERIES``
+    and ``wkb.DEFAULT_QUADRATURE``, read at each call."""
 
     variables: ClassVar[tuple[str, ...]] = ("E",)
 
-    def wkb(self, energies, ctx, solve_turning_points=False) -> list:
+    def wkb(self, energies, ctx, solve_turning_points=False, **swept) -> MethodColumns:
         """The WKB transmission exp(-2 sqrt(2m)/hbar * action) at each energy, over the
         region the family chooses."""
+        if swept:
+            return self._per_potential("wkb", energies, ctx, swept)
         with np.errstate(all="ignore"):  # a point that leaves double range is an error in its row
             actions, errors = self.wkb_actions(np.asarray(energies, dtype=float), solve_turning_points)
         factor = -2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar
-        return [error or method_result("wkb", math.exp(factor * action))
-                for action, error in zip(actions.tolist(), errors)]
+        return method_columns("wkb", errors, np.array([math.exp(factor * x) for x in actions.tolist()]))
 
-    def bound(self, energies, ctx) -> list:
+    def bound(self, energies, ctx, **swept) -> MethodColumns:
         """The sech^2 lower bound at each energy."""
+        if swept:
+            return self._per_potential("bound", energies, ctx, swept)
         integrals, errors = bound_integrals(self, energies, ctx)
-        return [error or method_result("bound", _sech_sq(integral))
-                for integral, error in zip(integrals.tolist(), errors)]
+        return method_columns("bound", errors, np.array([_sech_sq(x) for x in integrals.tolist()]))
+
+    def _per_potential(self, method, energies, ctx, swept) -> MethodColumns:
+        """``method`` (one that gives T alone) at each point, for the potential with the
+        swept field at its value there: one call per distinct potential."""
+        ((name, values),) = swept.items()
+        energies = np.asarray(energies, dtype=float)
+        out = MethodColumns(np.empty(values.size), None, None, [None] * values.size)
+        for value in dict.fromkeys(values.tolist()):
+            points = np.flatnonzero(values == value)
+            part = getattr(replace(self, **{name: value}), method)(energies[points], ctx)
+            out.transmission[points] = part.transmission
+            for i, error in zip(points.tolist(), part.errors):
+                out.errors[i] = error
+        return out
 
     def values(self, x):
         """V(x); x may be a scalar or a numpy array."""
@@ -88,17 +115,27 @@ class _Family:
         return (0.0, 0.0)
 
     def sweep_map(self, variable, ctx, fixed):
-        """Function from one value of ``variable`` to a (potential, energy) pair;
-        a variable this family cannot sweep raises InvalidInputError here."""
+        """Function from values of ``variable`` (a list or an array) to the points they
+        sweep: an array of energies, the swept parameters (a field -> array of values
+        dict that ``exact``, ``wkb`` and ``bound`` take as keyword arguments) and, per
+        value, None or its error; a variable this family cannot sweep raises
+        InvalidInputError here."""
         if variable not in self.variables:
             raise InvalidInputError(
                 f"cannot sweep {variable!r} for {type(self).__name__}; "
                 f"valid variables: {self.variables}"
             )
-        return lambda x: self._point(variable, x, ctx, fixed)
 
-    def _point(self, variable, x, ctx, fixed):
-        return self, x
+        def points(xs):
+            xs = np.asarray(xs, dtype=float)
+            energies, swept, checks = self._points(variable, xs, ctx, fixed)
+            return energies, swept, first_errors(xs.tolist(), checks)
+
+        return points
+
+    def _points(self, variable, xs, ctx, fixed):
+        """(energies, swept parameters, checks (mask, error class, message)) of xs."""
+        return xs, {}, []
 
     def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
         """Integral of sqrt(V - E) over the family's barrier region at each energy of the
@@ -131,11 +168,14 @@ class Delta(_Family):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise InvalidInputError(f"delta strength alpha must be positive, got {self.alpha!r}")
 
-    def _point(self, variable, x, ctx, fixed):
-        return self, (ctx.hbar * x) ** 2 / (2.0 * ctx.mass) if variable == "k" else x
+    def _points(self, variable, xs, ctx, fixed):
+        if variable == "E":
+            return super()._points(variable, xs, ctx, fixed)
+        energies, checks = _kinetic_points(xs, 0.0, ctx)
+        return energies, {}, checks
 
-    def exact(self, energies, ctx) -> list:
-        return _grid_results(delta_amplitudes_grid(self.alpha, energies, ctx))
+    def exact(self, energies, ctx) -> MethodColumns:
+        return _grid_columns(delta_amplitudes_grid(self.alpha, energies, ctx))
 
     def resonances(self, var, n_max, ctx, kind, energy=None) -> ResonanceListing:
         if var != "k":
@@ -168,16 +208,15 @@ class Rectangular(_Family):
             self.v0 if abs(x) <= self.a else 0.0
         )
 
-    def _point(self, variable, x, ctx, fixed):
+    def _points(self, variable, xs, ctx, fixed):
         # q is the interior wavenumber above the barrier; E = v0, where both exact
         # formulas are singular, is a point of no method
-        energy = self.v0 + (ctx.hbar * x) ** 2 / (2.0 * ctx.mass) if variable == "q" else x
-        if energy == self.v0:
-            raise DegenerateEnergyError("both exact formulas are singular at E = v0")
-        return self, energy
+        energies, checks = _kinetic_points(xs, self.v0, ctx) if variable == "q" else (xs, [])
+        return energies, {}, [*checks, (energies == self.v0, DegenerateEnergyError,
+                                        "both exact formulas are singular at E = v0")]
 
-    def exact(self, energies, ctx) -> list:
-        return _grid_results(rectangular_amplitudes_grid(self.v0, self.a, energies, ctx))
+    def exact(self, energies, ctx) -> MethodColumns:
+        return _grid_columns(rectangular_amplitudes_grid(self.v0, self.a, energies, ctx))
 
     def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
         actions = 2.0 * self.a * np.sqrt(self.v0 - energies)
@@ -236,16 +275,16 @@ class Eckart(_Family):
             raise InvalidInputError("sweeping V0 requires fixed={'energy': ...}")
         return super().sweep_map(variable, ctx, fixed)
 
-    def _point(self, variable, x, ctx, fixed):
-        return (replace(self, v0=x), fixed["energy"]) if variable == "V0" else (self, x)
+    def _points(self, variable, xs, ctx, fixed):
+        if variable == "E":
+            return super()._points(variable, xs, ctx, fixed)
+        return np.full(xs.size, float(fixed["energy"])), {"v0": xs}, [
+            (~np.isfinite(xs), InvalidInputError, "v0 must be finite")]
 
-    def exact(self, energies, ctx) -> list:
-        def at(energy):
-            t = eckart_transmission(self, energy, ctx)
-            # unitarity is mandatory for the elastic channel: report (T, 1 - T)
-            return method_result("exact", t, 1.0 - t, 0.0)
-
-        return each(at, energies)
+    def exact(self, energies, ctx, v0=None) -> MethodColumns:
+        t, errors = eckart_transmission_grid(self, energies, ctx, v0)
+        # unitarity is mandatory for the elastic channel: report (T, 1 - T)
+        return method_columns("exact", errors, t, 1.0 - t, np.zeros(t.size))
 
     def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
         # always between the closed-form turning points: no conventional fixed window
@@ -313,10 +352,12 @@ class Hulthen(_Family):
         # at x = 0 they share the limit v0/(1-q)
         return self.v0 / (np.exp(self.a * np.abs(x)) - self.q)
 
-    def exact(self, energies, ctx) -> list:
+    def exact(self, energies, ctx) -> MethodColumns:
         if ctx.hbar != 1.0:  # the amplitudes are written in units with hbar = 1
-            return [UnsupportedOperationError("the Hulthen amplitudes need hbar = 1")] * len(energies)
-        return _grid_results(hulthen_amplitudes_grid(self, energies, ctx.mass, specfun.DEFAULT_SERIES))
+            error = UnsupportedOperationError("the Hulthen amplitudes need hbar = 1")
+            nan = np.full(len(energies), math.nan)
+            return MethodColumns(nan, nan, nan, [error] * len(energies))
+        return _grid_columns(hulthen_amplitudes_grid(self, energies, ctx.mass, specfun.DEFAULT_SERIES))
 
     def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
         # the physical region between the closed-form turning points, or the fixed

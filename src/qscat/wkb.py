@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .core import PhysicsContext, first_errors
-from .errors import ConvergenceError, InvalidInputError, NoBarrierError, QscatError
+from .errors import ConvergenceError, InvalidInputError, NoBarrierError
 
 # floating-point noise below the barrier top is clamped, anything worse rejected
 _NEGATIVE_SLACK = 1e-12
@@ -322,7 +322,7 @@ def wkb_for_potential(
     its closed-form turning points.  The Eckart profile always uses its
     closed-form turning points (no conventional fixed window).
     """
-    (result,) = p.wkb([energy], ctx, solve_turning_points)
-    if isinstance(result, QscatError):
-        raise result
-    return result.transmission
+    result = p.wkb([energy], ctx, solve_turning_points)
+    if result.errors[0] is not None:
+        raise result.errors[0]
+    return result.transmission.item()

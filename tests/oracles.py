@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -175,6 +176,32 @@ def scalar_rectangular_amplitudes(v0, a, energy, ctx) -> tuple[complex, complex]
     t = 2j * big_q * k * math.sqrt(decay) * phase / denom
     r = (k**2 + big_q**2) * sh * phase / denom
     return t, r
+
+
+def scalar_eckart_transmission(p, energy, ctx) -> float:
+    """Eckart transmission in scalar Python math, one point at a time: the reference
+    that ``qscat.exact.eckart_transmission_grid`` follows operation by operation.
+    Raises what the scalar arithmetic raises (OverflowError from **,
+    ZeroDivisionError, ValueError from the sine of an infinite argument), and
+    ValueError where a channel is evanescent."""
+    if energy <= max(p.v_minus_inf, p.v_plus_inf):
+        raise ValueError("evanescent channel")
+    two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
+    big_a = math.pi * math.sqrt(two_m_over_h2 * (energy - p.v_minus_inf)) * p.a
+    big_b = math.pi * math.sqrt(two_m_over_h2 * (energy - p.v_plus_inf)) * p.a
+    big_c = 0.5 * (big_a + big_b)
+    g = 2.0 * ctx.mass * p.v0 * p.a**2 / ctx.hbar**2
+    d = 0.25 - g
+    if d >= 0.0:
+        shape = 4.0 * math.sin(math.pi * g / (0.5 + math.sqrt(d))) ** 2 * math.exp(-2.0 * big_c)
+    else:
+        y = math.pi * math.sqrt(-d)
+        log_shape = 2.0 * (y - big_c + math.log1p(math.exp(-2.0 * y)))
+        if log_shape > math.log(sys.float_info.max):
+            return 0.0
+        shape = math.exp(log_shape)
+    num = math.expm1(-2.0 * big_a) * math.expm1(-2.0 * big_b)
+    return num / (math.expm1(-2.0 * big_c) ** 2 + shape)
 
 
 def mp_hulthen_probabilities(energy, mass, v0, q, a, dps: int = 40):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mp_hulthen_probabilities
-from qscat import sweep
+from qscat import Hulthen
 from qscat.cli import _format_column, format_number, main
 
 TESTS = Path(__file__).parent
@@ -792,19 +792,19 @@ class TestResonancesCommand:
 
     def test_numeric_scan_grid_is_one_batch(self, capsys, monkeypatch):
         sizes = []
-        evaluate_pairs = sweep._evaluate_pairs
+        exact = Hulthen.exact
 
-        def recording(pairs, *args):
-            sizes.append(len(pairs))
-            return evaluate_pairs(pairs, *args)
+        def recording(self, energies, ctx):
+            sizes.append(len(energies))
+            return exact(self, energies, ctx)
 
-        monkeypatch.setattr(sweep, "_evaluate_pairs", recording)
+        monkeypatch.setattr(Hulthen, "exact", recording)
         code, _, _ = run_cli(
             capsys, "resonances", *HULTHEN, "--var", "E", "--numeric", "--lo", "1.09", "--hi", "10",
             "--grid-n", "256",
         )
         assert code == 0
-        assert sizes[0] == 256
+        assert sizes[0] == 256  # one exact family call for the whole grid
         assert set(sizes[1:]) == {1}  # the golden-section refinement stays pointwise
 
     def test_numeric_mode(self, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from oracles import (
     eckart_transmission_amplitude,
     mp_eckart_transmission,
+    scalar_eckart_transmission,
     schrodinger_transmission,
 )
-from qscat import Eckart, bound_for_potential, eckart_reflection_paper, eckart_transmission
+from qscat import Eckart, PhysicsContext, bound_for_potential, eckart_reflection_paper, eckart_transmission
+from qscat.exact import eckart_transmission_grid
 from qscat.errors import InvalidInputError, WrongCaseError
 
 
@@ -20,6 +23,35 @@ FIG7_PROFILE = Eckart(v_minus_inf=1.5, v_plus_inf=0.0, v0=0.0, a=1.0)  # k- = 1,
 
 
 class TestTransmission:
+    @pytest.mark.parametrize("decades", [1, 300])
+    def test_grid_is_the_scalar_reference_bit_for_bit(self, rng, decades):
+        # parameters log-uniform within 10^+-decades, of either sign where they may be;
+        # where the scalar arithmetic gives a finite T the grid gives the same bits, and
+        # where it raises or leaves double range the grid gives an error
+        def draw(size=None, signs=(1,)):
+            return (10.0 ** rng.uniform(-decades, decades, size) * rng.choice(signs, size)).tolist()
+
+        checked = 0
+        for _ in range(60):
+            p = Eckart(draw(signs=(-1, 0, 1)), draw(signs=(-1, 0, 1)), 0.0, draw())
+            ctx = PhysicsContext(hbar=draw(), mass=draw())
+            energies, heights = draw(20, (-1, 1)), draw(20, (-1, 1))
+            for t, errors, v0s in (
+                (*eckart_transmission_grid(p, energies, ctx, heights), heights),
+                (*eckart_transmission_grid(replace(p, v0=heights[0]), energies, ctx), [heights[0]] * 20),
+            ):
+                for energy, v0, ti, error in zip(energies, v0s, t.tolist(), errors):
+                    try:
+                        expected = scalar_eckart_transmission(replace(p, v0=v0), energy, ctx)
+                    except (ArithmeticError, ValueError):
+                        expected = math.nan
+                    if not math.isfinite(expected):
+                        assert error is not None
+                    else:
+                        assert error is None and ti == expected
+                        checked += 1
+        assert checked >= 200
+
     def test_free_limit(self, ctx):
         # v0 = 0 with equal asymptotes: cos(pi/2) = 0 and the sinh ratio is 1
         assert eckart_transmission(_symmetric(0.0), 1.7, ctx) == pytest.approx(1.0, abs=1e-14)

@@ -74,8 +74,8 @@ class TestWavenumbers:
 
     def test_rectangular_above(self, ctx):
         r = Rectangular(v0=1.0, a=1.0)
-        p, energy = r.sweep_map("q", ctx, {})(math.sqrt(2.0))
-        assert p == r and energy == pytest.approx(2.0)
+        (energy,), swept, _ = r.sweep_map("q", ctx, {})([math.sqrt(2.0)])
+        assert swept == {} and energy == pytest.approx(2.0)
         assert asymptotic_wavenumbers(r, 2.0, ctx) == pytest.approx((2.0, 2.0))
 
     def test_rectangular_below(self, ctx):
@@ -87,10 +87,10 @@ class TestWavenumbers:
 
     def test_delta_strength_scale(self, ctx):
         d = Delta(alpha=1.0)
-        assert d.sweep_map("k", ctx, {})(math.sqrt(6.0))[1] == pytest.approx(3.0)
+        assert d.sweep_map("k", ctx, {})([math.sqrt(6.0)])[0][0] == pytest.approx(3.0)
         # k = k0 = 1 transmits half
-        (at_k0,) = d.exact([d.sweep_map("k", ctx, {})(1.0)[1]], ctx)
-        assert at_k0.transmission == pytest.approx(0.5, abs=1e-15)
+        (at_k0,) = d.exact(d.sweep_map("k", ctx, {})([1.0])[0], ctx).transmission
+        assert at_k0 == pytest.approx(0.5, abs=1e-15)
 
     def test_consistency_identities(self, rng):
         ctx = PhysicsContext(hbar=1.7, mass=0.6)
@@ -99,7 +99,7 @@ class TestWavenumbers:
             r = Rectangular(v0=v0, a=rng.uniform(0.1, 3.0))
             k0_sq = 2.0 * ctx.mass * v0 / ctx.hbar**2
             q = math.sqrt(k0_sq * rng.uniform(0.01, 9.0))  # E/v0 in [1.01, 10]
-            _, energy = r.sweep_map("q", ctx, {})(q)
+            (energy,), _, _ = r.sweep_map("q", ctx, {})([q])
             k, _ = asymptotic_wavenumbers(r, energy, ctx)
             assert k0_sq == pytest.approx(k**2 - q**2, rel=1e-12)
             energy = v0 * rng.uniform(0.01, 0.99)
@@ -111,12 +111,12 @@ class TestWavenumbers:
     def test_degenerate_energy_rejected(self, ctx):
         r = Rectangular(v0=1.0, a=1.0)
         for variable, x in (("E", 1.0), ("q", 0.0)):
-            with pytest.raises(DegenerateEnergyError):
-                r.sweep_map(variable, ctx, {})(x)
+            (error,) = r.sweep_map(variable, ctx, {})([x])[2]
+            assert isinstance(error, DegenerateEnergyError)
 
     def test_nonpositive_energy_rejected(self, ctx):
-        (result,) = Delta(alpha=1.0).exact([0.0], ctx)
-        assert isinstance(result, InvalidInputError)
+        (error,) = Delta(alpha=1.0).exact([0.0], ctx).errors
+        assert isinstance(error, InvalidInputError)
 
 
 class TestAsymptoticWavenumbers:

@@ -24,6 +24,7 @@ from qscat import (
 from qscat import exact, specfun, wkb
 from qscat.errors import InvalidInputError, QscatError
 from qscat.exact import _connection_route, _hulthen_parameters
+from qscat.cli import render_sweep_csv
 from qscat.sweep import METHOD_ORDER, sweep_rows
 
 
@@ -305,11 +306,11 @@ def test_closed_form_rows_are_one_path_and_batch_independent(case):
         assert sweep_rows(spec, [x]) == [row]
         res = row.results["exact"]
         assert res.error == code
-        try:
-            _, energy = to_point(x)
-        except (QscatError, ArithmeticError):
+        (energy,), _, (error,) = to_point([x])
+        if error is not None:
             assert row.gap_marker
             continue
+        energy = energy.item()
         if code is None:
             probs = probabilities_from_amplitudes(_scalar(p, energy))
             # T, R and the defect are >= 0, so == compares every bit
@@ -390,16 +391,68 @@ def test_wkb_and_bound_rows_are_batch_independent(case):
 
 
 def test_one_family_call_per_potential_and_method(monkeypatch):
+    """A V0 sweep makes one family call per method for all its points, with v0 as an
+    array; wkb and bound, which have no array of heights, then call each distinct
+    potential once."""
     calls = []
     for method in METHOD_ORDER:
-        def recording(self, energies, ctx, original=getattr(Eckart, method), method=method):
-            calls.append((self.v0, method, len(energies)))
-            return original(self, energies, ctx)
+        def recording(self, energies, ctx, *args, original=getattr(Eckart, method), method=method,
+                      **swept):
+            calls.append((method, self.v0, len(energies), sorted(swept)))
+            return original(self, energies, ctx, *args, **swept)
 
         monkeypatch.setattr(Eckart, method, recording)
     spec = SweepSpec(Eckart(0.0, 0.0, 1.0, 1.0), "V0", lo=1.0, hi=2.0, points=2,
                      methods=frozenset(METHOD_ORDER), fixed={"energy": 0.5})
     sweep_rows(spec, [1.0, 2.0, 1.0, 3.0, 2.0, 1.0])
     assert sorted(calls) == sorted(
-        (v0, method, n) for v0, n in ((1.0, 3), (2.0, 2), (3.0, 1)) for method in METHOD_ORDER
+        [(method, 1.0, 6, ["v0"]) for method in METHOD_ORDER]
+        + [(method, v0, n, []) for v0, n in ((1.0, 3), (2.0, 2), (3.0, 1)) for method in ("wkb", "bound")]
     )
+
+
+def test_fig7_sweep_is_one_exact_call(monkeypatch):
+    sizes = []
+    exact = Eckart.exact
+
+    def recording(self, energies, ctx, **swept):
+        sizes.append(len(energies))
+        return exact(self, energies, ctx, **swept)
+
+    monkeypatch.setattr(Eckart, "exact", recording)
+    spec = SweepSpec(Eckart(1.5, 0.0, 0.0, 1.0), "V0", -10.5, 2.0, 501, fixed={"energy": 2.0})
+    rows = run_sweep(spec)
+    assert sizes == [501]
+    assert all(row.results["exact"].error is None for row in rows)
+
+
+# (potential, variable, fixed, values) of every family/variable pair, with the points
+# where the sweep map or a method fails mixed in
+TABLE_CASES = {
+    "delta-k": (Delta(1.0), "k", {}, [0.5, 1e200, 0.0, -1.0, 2.0]),  # (hbar k)^2 overflows
+    "delta-E": (Delta(1.0), "E", {}, [0.5, 0.0, -1.0, 1e308, 2.0]),
+    "rect-q": (Rectangular(0.5, 1.0), "q", {}, [1.0, 0.0, 1e200, -2.0, 10.0]),  # q = 0 is E = v0
+    "rect-E": (Rectangular(1.0, 1.0), "E", {}, [0.5, 1.0, 0.0, -0.5, 5e307, 2.0]),  # (k + q)^2 overflows
+    "eckart-E": (Eckart(0.0, 0.0, 1.0, 1.0), "E", {}, [0.5, 2.0, 0.0, -1.0, 1e308]),
+    # unequal asymptotes: no bound; an infinite v0 is no potential
+    "eckart-V0": (Eckart(1.5, 0.0, 0.0, 1.0), "V0", {"energy": 2.0}, [-10.5, 1.0, 1.0, math.inf, -3e307]),
+    "eckart-V0-evanescent": (Eckart(1.5, 0.0, 0.0, 1.0), "V0", {"energy": 1.0}, [-1.0, 1.0]),
+    "hulthen-E": (Hulthen(1.0, 0.5, 0.9), "E", {}, [2.0, 1.0, 0.5, -1.0, 1e300, 0.3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_table_and_rows_follow_one_rule(case):
+    """A sweep table renders as its list of rows does, and each of its rows is the
+    one-value sweep at that value."""
+    p, variable, fixed, values = TABLE_CASES[case]
+    spec = SweepSpec(p, variable, lo=-1.0, hi=2.0, points=7, methods=frozenset(METHOD_ORDER),
+                     fixed=fixed)
+    for table in (sweep_rows(spec, values), run_sweep(spec)):
+        assert render_sweep_csv(table, spec.methods) == render_sweep_csv(list(table), spec.methods)
+        assert table == list(table) and list(table) == table
+        for row in table:
+            assert sweep_rows(spec, [row.variable_value]) == [row]
+    codes = {res.error for row in sweep_rows(spec, values) for res in row.results.values()}
+    assert None in codes or case == "eckart-V0-evanescent"
+    assert codes - {None}

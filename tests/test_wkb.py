@@ -14,6 +14,7 @@ from qscat import (
     Delta,
     Eckart,
     Hulthen,
+    MethodResult,
     QuadratureControl,
     Rectangular,
     find_turning_points,
@@ -325,12 +326,18 @@ def _key(row):
     return row
 
 
+def _wkb_rows(p, energies, solve_turning_points=False):
+    """p.wkb at each energy, as its error or its MethodResult."""
+    transmission, _, _, errors = p.wkb(energies, NATURAL_UNITS, solve_turning_points)
+    return [error or MethodResult("wkb", t) for t, error in zip(transmission.tolist(), errors)]
+
+
 def _same_rows(p, energies, solve_turning_points=False):
     """p.wkb at each energy, checked bit for bit against the energy's own one-energy
     batch and against wkb_for_potential's number or error.  Returns the row keys."""
-    batch = [_key(row) for row in p.wkb(energies, NATURAL_UNITS, solve_turning_points)]
+    batch = [_key(row) for row in _wkb_rows(p, energies, solve_turning_points)]
     for energy, row in zip(energies, batch):
-        assert [_key(r) for r in p.wkb([energy], NATURAL_UNITS, solve_turning_points)] == [row]
+        assert [_key(r) for r in _wkb_rows(p, [energy], solve_turning_points)] == [row]
         try:
             value = wkb_for_potential(p, energy, NATURAL_UNITS, solve_turning_points)
         except QscatError as exc:
@@ -392,4 +399,4 @@ class TestBatchedIntegrator:
         energies = np.linspace(0.02, 1.0, 3 * wkb._BATCH_OWNERS + 5).tolist()
         rows = _same_rows(p, energies)
         monkeypatch.setattr(wkb, "_BATCH_OWNERS", 4)
-        assert [_key(row) for row in p.wkb(energies, NATURAL_UNITS)] == rows
+        assert [_key(row) for row in _wkb_rows(p, energies)] == rows
