@@ -29,10 +29,10 @@ class BoundResult:
     integral_value: float
 
 
-def _sech_sq(x: float) -> float:
-    # 4 e^{-2x} / (1 + e^{-2x})^2: no cosh to overflow for a large exponent
-    t = math.exp(-2.0 * abs(x))
-    return 4.0 * t / (1.0 + t) ** 2
+def _sech_sq(x: np.ndarray) -> np.ndarray:
+    # 4 e^{-2x} / (1 + e^{-2x})^2 at each element: no cosh to overflow for a large exponent
+    t = np.exp(-2.0 * np.abs(x))
+    return 4.0 * t / np.square(1.0 + t)
 
 
 def transmission_bound(
@@ -72,8 +72,8 @@ def transmission_bound(
     (integral,), (error,) = _integrate_gauss_legendre(integrand, np.array([[x1, x2]]), ctrl)
     if error is not None:
         raise error
-    integral = 0.5 * integral.item()
-    return BoundResult(lower_bound=_sech_sq(integral), integral_value=integral)
+    integral = 0.5 * integral
+    return BoundResult(lower_bound=_sech_sq(integral).item(), integral_value=integral.item())
 
 
 def bound_integrals(p, energies, ctx: PhysicsContext) -> tuple[np.ndarray, list]:
@@ -103,4 +103,4 @@ def bound_for_potential(p, energy: float, ctx: PhysicsContext) -> BoundResult:
     (integral,), (error,) = bound_integrals(p, [energy], ctx)
     if error is not None:
         raise error
-    return BoundResult(lower_bound=_sech_sq(integral.item()), integral_value=integral.item())
+    return BoundResult(lower_bound=_sech_sq(integral).item(), integral_value=integral.item())

@@ -4,7 +4,9 @@ Each case maps to one function: the delta, rectangular (both branches in one
 routine) and Hulthen hypergeometric amplitudes on an array of energies, and
 Eckart transmission (plus its literature reflection formula).  The three grids
 return the same (t, r, errors) triple, each point's error the first of a list of
-masks, and their scalar functions are its one-energy case.
+masks, and their scalar functions are its one-energy case.  The arithmetic is
+numpy's on whole arrays, save one complex quotient (``_quotient``) that divides
+last, so that a subnormal denominator does not overflow.
 The family classes in ``potentials`` call these; an Eckart or Hulthen argument
 ``p`` is read through its fields and ``p.asymptotes()`` only.
 """
@@ -63,79 +65,35 @@ def asymptotic_wavenumbers(p, energy: float, ctx: PhysicsContext) -> tuple[float
     )
 
 
-def _pow2_one(v: float) -> float:
-    try:
-        return v**2
-    except OverflowError:
-        return math.inf
-
-
-def _pow2(x) -> np.ndarray:
-    """x ** 2 at each element as Python computes it: libm pow, which differs from x * x
-    in the last bit for ~0.1% of inputs.  An element where Python raises
-    OverflowError is inf."""
-    values = x.tolist()
-    try:
-        return np.array([v**2 for v in values], dtype=float)
-    except OverflowError:
-        return np.array([_pow2_one(v) for v in values], dtype=float)
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    # math.exp at each element: numpy's exp differs in the last bit
-    return np.array([math.exp(v) for v in x.tolist()], dtype=float)
-
-
-def _expm1(x: np.ndarray) -> np.ndarray:
-    return np.array([math.expm1(v) for v in x.tolist()], dtype=float)
-
-
 def probability_arrays(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T = |t|^2, R = |r|^2 and the defect |T + R - 1| at each element of the complex
-    arrays t and r, bit for bit Python's abs(t) ** 2, abs(r) ** 2 and
-    abs(T + R - 1.0) at each point (numpy's hypot is Python's complex abs); no
-    finiteness check."""
-    transmission = _pow2(np.hypot(t.real, t.imag))
-    reflection = _pow2(np.hypot(r.real, r.imag))
+    arrays t and r; no finiteness check."""
+    transmission, reflection = np.square(np.abs(t)), np.square(np.abs(r))
     with np.errstate(invalid="ignore"):
         return transmission, reflection, np.abs(transmission + reflection - 1.0)
 
 
-def _cmul(a, b):
-    """The complex product a * b as CPython 3.11 forms it, on (real, imag) pairs of
-    floats or arrays; Python turns a real operand x into (x, 0.0) first."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(a, b):
-    """The complex quotient a / b as CPython 3.11 forms it (_Py_c_quot, Smith's
-    algorithm scaled by the larger part of b), on (real, imag) pairs of arrays.  A
-    zero b gives NaN where Python raises ZeroDivisionError."""
-    (ar, ai), (br, bi) = a, b
+def _quotient(a, b) -> np.ndarray:
+    """a / b on complex arrays by Smith's method, scaled by the larger part of b, with
+    the division last: numpy's / multiplies by 1/scale, which overflows where b is
+    subnormal (9e-318 / 9e-318 gives inf+nanj).  A zero b gives NaN."""
+    (ar, ai), (br, bi) = (np.real(a), np.imag(a)), (b.real, b.imag)
     by_real = np.abs(br) >= np.abs(bi)
     ratio = np.where(by_real, bi / br, br / bi)
     scale = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / scale,
-            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / scale)
+    out = np.empty(b.shape, np.complex128)
+    out.real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / scale
+    out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / scale
+    return out
 
 
-def _unit_phase(y):
-    # cmath.exp(1j * y) is exp(0.0) = 1.0 times (cos y, sin y)
-    return np.cos(y), np.sin(y)
-
-
-def _amplitude_grid(energies: list, t, r, checks: list):
-    """(t, r, errors) of a closed-form grid: t and r, (real, imag) pairs of arrays, as
-    complex arrays and, per point, None or its error: that of the first of ``checks``
-    (mask, error class, message) that flags it.  A point whose t or r is not finite
-    is invalid."""
-    t_c, r_c = np.empty(len(energies), np.complex128), np.empty(len(energies), np.complex128)
-    t_c.real, t_c.imag = t
-    r_c.real, r_c.imag = r
-    leaves = ~(np.isfinite(t_c) & np.isfinite(r_c))
+def _amplitude_grid(energies: list, t: np.ndarray, r: np.ndarray, checks: list):
+    """(t, r, errors) of a closed-form grid: per point, None or its error: that of the
+    first of ``checks`` (mask, error class, message) that flags it.  A point whose t
+    or r is not finite is invalid."""
+    leaves = ~(np.isfinite(t) & np.isfinite(r))
     checks = [*checks, (leaves, InvalidInputError, "amplitudes at energy {!r} leave double range")]
-    return t_c, r_c, first_errors(energies, checks)
+    return t, r, first_errors(energies, checks)
 
 
 def _one_point(grid) -> ScatteringAmplitudes:
@@ -149,9 +107,7 @@ def _one_point(grid) -> ScatteringAmplitudes:
 def delta_amplitudes_grid(alpha: float, energies, ctx: PhysicsContext):
     """Delta potential: t = k/(k - i k0), r = i k0/(k - i k0), k0 = m alpha / hbar^2, at
     each energy.  Returns complex arrays t and r and, per point, None or its error:
-    InvalidInputError for E <= 0 or not finite, or amplitudes that leave double range.
-    Every operation is Python's scalar one, in its order, so each point is bit for bit
-    the scalar formula."""
+    InvalidInputError for E <= 0 or not finite, or amplitudes that leave double range."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise InvalidInputError(f"delta strength alpha must be positive, got {alpha!r}")
     e = np.asarray(energies, dtype=float)
@@ -161,9 +117,8 @@ def delta_amplitudes_grid(alpha: float, energies, ctx: PhysicsContext):
         ik0 = complex(math.nan, math.nan)
     with np.errstate(all="ignore"):
         k = np.sqrt(2.0 * ctx.mass * e) / ctx.hbar
-        denom = (k - ik0.real, 0.0 - ik0.imag)
-        t = _cdiv((k, 0.0), denom)
-        r = _cdiv((ik0.real, ik0.imag), denom)
+        denom = k - ik0
+        t, r = _quotient(k, denom), _quotient(ik0, denom)
         bad_energy = ~(np.isfinite(e) & (e > 0))
     return _amplitude_grid(
         e.tolist(), t, r, [(bad_energy, InvalidInputError, "scattering requires energy > 0, got {!r}")]
@@ -171,34 +126,29 @@ def delta_amplitudes_grid(alpha: float, energies, ctx: PhysicsContext):
 
 
 def _rect_above(k, q, a):
-    # (t, r, where Python's ** overflows) of the oscillatory branch
-    kpq2, kmq2, kk, qq = _pow2(k + q), _pow2(k - q), _pow2(k), _pow2(q)
+    # (t, r, where x**2 overflows) of the oscillatory branch
+    kpq2, kmq2, kk, qq = np.square(k + q), np.square(k - q), np.square(k), np.square(q)
     y = 2.0 * q * a
-    e_plus = _unit_phase(y)
-    denom_plus = _cmul((kpq2, 0.0), e_plus)
-    denom_minus = _cmul((kmq2, 0.0), _unit_phase(-y))
-    denom = (denom_plus[0] - denom_minus[0], denom_plus[1] - denom_minus[1])
-    phase = _unit_phase(2.0 * k * a)
-    t = _cdiv(_cmul((4.0 * k * q, 0.0), phase), denom)
-    r_num = _cmul(_cmul(_cmul((0.0, 2.0), (kk - qq, 0.0)), (e_plus[1], 0.0)), phase)
+    denom = kpq2 * np.exp(1j * y) - kmq2 * np.exp(-1j * y)
+    phase = np.exp(2j * k * a)
+    t = _quotient(4.0 * k * q * phase, denom)
+    r = _quotient(2j * (kk - qq) * np.sin(y) * phase, denom)
     overflow = ~(np.isfinite(kpq2) & np.isfinite(kmq2) & np.isfinite(kk) & np.isfinite(qq))
-    return t, _cdiv(r_num, denom), overflow
+    return t, r, overflow
 
 
 def _rect_below(k, big_q, a):
-    # (t, r, where Python's ** overflows) of the tunnelling branch, scaled by e^{-2Qa}
-    kk, qq = _pow2(k), _pow2(big_q)
+    # (t, r, where x**2 overflows) of the tunnelling branch, scaled by e^{-2Qa}
+    kk, qq = np.square(k), np.square(big_q)
     exponent = -4.0 * big_q * a
-    decay = _exp(exponent)
-    sh = -0.5 * _expm1(exponent)  # e^{-2Qa} sinh(2Qa)
+    decay = np.exp(exponent)
+    sh = -0.5 * np.expm1(exponent)  # e^{-2Qa} sinh(2Qa)
     ch = 0.5 * (1.0 + decay)  # e^{-2Qa} cosh(2Qa)
-    interior = _cmul(_cmul(_cmul((0.0, 2.0), (k, 0.0)), (big_q, 0.0)), (ch, 0.0))
-    denom = ((kk - qq) * sh + interior[0], 0.0 + interior[1])
-    phase = _unit_phase(-2.0 * k * a)
-    t_num = _cmul(_cmul(_cmul(_cmul((0.0, 2.0), (big_q, 0.0)), (k, 0.0)), (np.sqrt(decay), 0.0)), phase)
-    r_num = _cmul(((kk + qq) * sh, 0.0), phase)
-    overflow = ~(np.isfinite(kk) & np.isfinite(qq))
-    return _cdiv(t_num, denom), _cdiv(r_num, denom), overflow
+    denom = (kk - qq) * sh + 2j * k * big_q * ch
+    phase = np.exp(-2j * k * a)
+    t = _quotient(2j * big_q * k * np.sqrt(decay) * phase, denom)
+    r = _quotient((kk + qq) * sh * phase, denom)
+    return t, r, ~(np.isfinite(kk) & np.isfinite(qq))
 
 
 def rectangular_amplitudes_grid(v0: float, a: float, energies, ctx: PhysicsContext):
@@ -216,9 +166,7 @@ def rectangular_amplitudes_grid(v0: float, a: float, energies, ctx: PhysicsConte
     Returns complex arrays t and r and, per point, None or its error:
     DegenerateEnergyError at E = v0, where both formulas are singular;
     InvalidInputError for E <= 0 or not finite, an infinite phase 2ka (e^{2ika} has
-    no value), or intermediates that leave double range.  Every operation is
-    Python's scalar one, in its order (x**2 and exp per element from Python), so each
-    point is bit for bit the scalar formula.
+    no value), or intermediates that leave double range.
     """
     if not (math.isfinite(v0) and v0 > 0 and math.isfinite(a) and a > 0):
         raise InvalidInputError(f"need v0 > 0 and a > 0, got v0={v0!r}, a={a!r}")
@@ -227,17 +175,14 @@ def rectangular_amplitudes_grid(v0: float, a: float, energies, ctx: PhysicsConte
         two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
     except ArithmeticError:  # hbar^2 leaves double range: every point is invalid
         two_m_over_h2 = math.nan
-    t = [np.full(len(e), math.nan), np.full(len(e), math.nan)]
-    r = [np.full(len(e), math.nan), np.full(len(e), math.nan)]
+    t, r = np.full(len(e), math.nan + 0j), np.full(len(e), math.nan + 0j)
     overflow = np.zeros(len(e), dtype=bool)
     with np.errstate(all="ignore"):
         k = np.sqrt(two_m_over_h2 * e)
         q = np.sqrt(two_m_over_h2 * np.abs(e - v0))  # v0 - E is -(E - v0) exactly
         above = e > v0
         for branch, points in ((_rect_above, above), (_rect_below, ~above)):
-            bt, br, bo = branch(k[points], q[points], a)
-            t[0][points], t[1][points], r[0][points], r[1][points] = *bt, *br
-            overflow[points] = bo
+            t[points], r[points], overflow[points] = branch(k[points], q[points], a)
         phase_overflow = ~np.isfinite(2.0 * k * a)
         bad_energy = ~(np.isfinite(e) & (e > 0))
     return _amplitude_grid(e.tolist(), t, r, [
@@ -301,9 +246,7 @@ def eckart_transmission_grid(p, energies, ctx: PhysicsContext, v0=None) -> tuple
 
     A point's error is WrongCaseError where either asymptotic channel is evanescent,
     else InvalidInputError where T is not finite (intermediates that leave double
-    range).  Every operation is Python's scalar one, in its order (x**2, sin, exp,
-    expm1 and log1p per element from Python), so each point is bit for bit the
-    scalar formula.
+    range).
     """
     e = np.asarray(energies, dtype=float)
     v0 = np.full(e.size, float(p.v0)) if v0 is None else np.asarray(v0, dtype=float)
@@ -320,18 +263,16 @@ def eckart_transmission_grid(p, energies, ctx: PhysicsContext, v0=None) -> tuple
         d = 0.25 - g
         sine = d >= 0.0
         shape = np.empty(e.size)
-        arg = (math.pi * g[sine] / (0.5 + np.sqrt(d[sine]))).tolist()
         # sin of an infinite argument has no value: NaN, so the point is invalid
-        sin_sq = np.array([math.sin(x) ** 2 if math.isfinite(x) else math.nan for x in arg])
-        shape[sine] = 4.0 * sin_sq * _exp(-2.0 * big_c[sine])
+        sin_sq = np.square(np.sin(math.pi * g[sine] / (0.5 + np.sqrt(d[sine]))))
+        shape[sine] = 4.0 * sin_sq * np.exp(-2.0 * big_c[sine])
         # 4 cosh^2(y) e^{-2C} = exp(2 (y - C + log1p(e^{-2y})))
         y = math.pi * np.sqrt(-d[~sine])
-        log1p_term = np.array([math.log1p(x) for x in _exp(-2.0 * y).tolist()])
-        log_shape = 2.0 * (y - big_c[~sine] + log1p_term)
+        log_shape = 2.0 * (y - big_c[~sine] + np.log1p(np.exp(-2.0 * y)))
         tiny = log_shape > _LOG_FLOAT_MAX  # T < e^{-709}: below the smallest normal double
-        shape[~sine] = _exp(np.where(tiny, 0.0, log_shape))
-        num = _expm1(-2.0 * big_a) * _expm1(-2.0 * big_b)
-        t = num / (_pow2(_expm1(-2.0 * big_c)) + shape)
+        shape[~sine] = np.exp(np.where(tiny, 0.0, log_shape))
+        num = np.expm1(-2.0 * big_a) * np.expm1(-2.0 * big_b)
+        t = num / (np.square(np.expm1(-2.0 * big_c)) + shape)
     t[np.flatnonzero(~sine)[tiny]] = 0.0
     return t, first_errors(e.tolist(), [
         (e <= max(v_minus, v_plus), WrongCaseError,
@@ -509,7 +450,7 @@ def hulthen_amplitudes_grid(p, energies, mass: float = 1.0, ctrl: SeriesControl 
         r_num = (1 + 2 * mu) * f2 * f5 + (1 - 2 * mu) * f3 * f6
         r = -p.q * q_pow_2mu * a_plus / (1 + 2 * mu) * flux * r_num / denom
     transmission, reflection, defect = probability_arrays(t, r)
-    return _amplitude_grid(e.tolist(), (t.real, t.imag), (r.real, r.imag), [
+    return _amplitude_grid(e.tolist(), t, r, [
         (~propagates, WrongCaseError, f"propagation requires energy > mass = {mass!r}, got {{!r}}"),
         (leaves, InvalidInputError, "Hulthen parameters at energy {!r} leave double range"),
         (~converged.all(axis=0), ConvergenceError, "a 2F1 series at energy {!r} did not converge"),

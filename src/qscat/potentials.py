@@ -30,7 +30,6 @@ from .errors import (
     WrongCaseError,
 )
 from .exact import (
-    _pow2,
     delta_amplitudes_grid,
     eckart_transmission,
     eckart_transmission_grid,
@@ -55,12 +54,11 @@ def _grid_columns(grid) -> MethodColumns:
 
 
 def _kinetic_points(xs, offset, ctx) -> tuple[np.ndarray, list]:
-    """The energies offset + (hbar x)^2 / 2m at the wavenumbers xs, with x**2 per element
-    from Python, and the check (mask, error class, message) of the values where Python's
-    ** overflows."""
+    """The energies offset + (hbar x)^2 / 2m at the wavenumbers xs, and the check (mask,
+    error class, message) of the values where (hbar x)^2 overflows."""
     with np.errstate(all="ignore"):
         hx = ctx.hbar * xs
-        hx_sq = _pow2(hx)
+        hx_sq = np.square(hx)
         energies = offset + hx_sq / (2.0 * ctx.mass)
     return energies, [(
         np.isinf(hx_sq) & np.isfinite(hx), InvalidInputError, "intermediates leave double range at {!r}")]
@@ -82,15 +80,15 @@ class _Family:
             return self._per_potential("wkb", energies, ctx, swept)
         with np.errstate(all="ignore"):  # a point that leaves double range is an error in its row
             actions, errors = self.wkb_actions(np.asarray(energies, dtype=float), solve_turning_points)
-        factor = -2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar
-        return method_columns("wkb", errors, np.array([math.exp(factor * x) for x in actions.tolist()]))
+            transmission = np.exp(-2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar * actions)
+        return method_columns("wkb", errors, transmission)
 
     def bound(self, energies, ctx, **swept) -> MethodColumns:
         """The sech^2 lower bound at each energy."""
         if swept:
             return self._per_potential("bound", energies, ctx, swept)
         integrals, errors = bound_integrals(self, energies, ctx)
-        return method_columns("bound", errors, np.array([_sech_sq(x) for x in integrals.tolist()]))
+        return method_columns("bound", errors, _sech_sq(integrals))
 
     def _per_potential(self, method, energies, ctx, swept) -> MethodColumns:
         """``method`` (one that gives T alone) at each point, for the potential with the

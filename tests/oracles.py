@@ -35,8 +35,8 @@ def _require_finite(name: str, z: complex) -> None:
 
 def probabilities_from_amplitudes(a) -> Probabilities:
     """Squared moduli T = |t|^2 and R = |r|^2 of a ``ScatteringAmplitudes``, in scalar
-    Python arithmetic: the reference that ``qscat.exact.probability_arrays`` follows
-    bit for bit at each finite point.  Non-finite amplitudes raise InvalidInputError.
+    Python arithmetic (``qscat.exact.probability_arrays`` is the array form, equal to
+    rounding).  Non-finite amplitudes raise InvalidInputError.
 
     Values are returned raw (no clamping) so that property tests see the
     actual computed numbers; clamping to [0, 1] is a display concern.
@@ -145,7 +145,8 @@ def hyp2f1_series_reference(a, b, c, z, rel_tol, max_terms):
 
 def scalar_delta_amplitudes(alpha, energy, ctx) -> tuple[complex, complex]:
     """Delta amplitudes (t, r) in scalar Python arithmetic, one energy at a time: the
-    reference that ``qscat.delta_amplitudes_grid`` follows operation by operation."""
+    reference that ``qscat.delta_amplitudes_grid`` matches to rounding, with an error
+    exactly where this raises or is not finite."""
     k = math.sqrt(2.0 * ctx.mass * energy) / ctx.hbar
     k0 = ctx.mass * alpha / ctx.hbar**2
     denom = k - 1j * k0
@@ -155,7 +156,8 @@ def scalar_delta_amplitudes(alpha, energy, ctx) -> tuple[complex, complex]:
 def scalar_rectangular_amplitudes(v0, a, energy, ctx) -> tuple[complex, complex]:
     """Rectangular barrier amplitudes (t, r) in scalar Python math/cmath, one energy
     at a time, above (E > v0) or below the barrier: the reference that
-    ``qscat.rectangular_amplitudes_grid`` follows operation by operation.  Raises
+    ``qscat.rectangular_amplitudes_grid`` matches to rounding, with an error exactly
+    where this raises or is not finite.  Raises
     what the scalar arithmetic raises (OverflowError from **, ZeroDivisionError,
     ValueError from the exponential of an infinite phase)."""
     two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2
@@ -180,7 +182,8 @@ def scalar_rectangular_amplitudes(v0, a, energy, ctx) -> tuple[complex, complex]
 
 def scalar_eckart_transmission(p, energy, ctx) -> float:
     """Eckart transmission in scalar Python math, one point at a time: the reference
-    that ``qscat.exact.eckart_transmission_grid`` follows operation by operation.
+    that ``qscat.exact.eckart_transmission_grid`` matches to rounding, with an error
+    exactly where this raises or is not finite.
     Raises what the scalar arithmetic raises (OverflowError from **,
     ZeroDivisionError, ValueError from the sine of an infinite argument), and
     ValueError where a channel is evanescent."""

@@ -9,6 +9,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,18 @@ class TestEval:
         assert code == 0
         assert "ERR:degenerate" in out
 
+    def test_subnormal_denominator_gives_a_number(self, capsys):
+        # the amplitude denominators are subnormal here: a quotient that multiplies by
+        # 1/denominator overflows to ERR:invalid, one that divides last gives T = 1
+        code, out, _ = run_cli(
+            capsys,
+            "eval", "--potential", "rect", "--v0", "6.071077792413529e-294",
+            "--a", "3.7825607564633515e+139", "--hbar", "1.549027458792789e-37",
+            "--mass", "8.762077215798864e-99", "--energy", "7.379446629148523e-294",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "7.379446629148523e-294,1.00000000000,0,0"
+
     def test_multiple_methods(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -286,8 +299,8 @@ class TestSweep:
         assert first.read_bytes() == second.read_bytes()
 
     def test_round_trip_recompute(self, capsys, tmp_path):
-        from oracles import probabilities_from_amplitudes
         from qscat import NATURAL_UNITS, rectangular_above
+        from qscat.exact import probability_arrays
 
         out_file = tmp_path / "roundtrip.csv"
         run_cli(
@@ -300,9 +313,8 @@ class TestSweep:
             cells = line.split(",")
             q = float(cells[0])
             energy = 1.0 + 0.5 * q * q
-            t = probabilities_from_amplitudes(
-                rectangular_above(1.0, 1.0, energy, NATURAL_UNITS)
-            ).transmission
+            amps = rectangular_above(1.0, 1.0, energy, NATURAL_UNITS)
+            (t,), _, _ = probability_arrays(np.array([amps.t]), np.array([amps.r]))
             assert t == float(cells[1])
 
     def test_lf_line_endings(self, capsys, tmp_path):
