@@ -5,31 +5,18 @@ amplitudes, a semiclassical tunneling approximation, a sech^2 transfer-matrix
 lower bound, resonance finding, and a sweep/CSV front end.
 """
 
-from .core import NATURAL_UNITS, PhysicsContext, ScatteringAmplitudes
+from .core import NATURAL_UNITS, PhysicsContext
 from .potentials import Delta, Eckart, Hulthen, PotentialSpec, Rectangular
 from .exact import (
     asymptotic_wavenumbers,
-    delta_amplitudes,
     delta_amplitudes_grid,
     eckart_reflection_paper,
-    eckart_transmission,
-    hulthen_amplitudes,
+    eckart_transmission_grid,
     hulthen_amplitudes_grid,
-    rectangular_above,
     rectangular_amplitudes_grid,
-    rectangular_below,
 )
 from .specfun import DEFAULT_SERIES, SeriesControl, gauss_2f1, log_gamma
-from .wkb import (
-    BarrierRegion,
-    QuadratureControl,
-    RegionSource,
-    find_turning_points,
-    fixed_limits,
-    wkb_for_potential,
-    wkb_transmission,
-)
-from .bound import BoundResult, bound_for_potential, transmission_bound
+from .wkb import QuadratureControl, wkb_for_potential
 from .resonance import (
     Kind,
     ResonanceListing,

@@ -1,8 +1,9 @@
 """Shared domain types, and the rules that make a failed point a value.
 
-Complex amplitudes are plain Python ``complex`` values.  Natural units
-(hbar = m = 1) are the default everywhere and can be overridden through
-:class:`PhysicsContext`.
+A method's results at an array of points are one ``MethodColumns``, whose per-point
+errors come from ``method_columns`` and ``first_errors``; ``MethodResult`` is one
+point of it.  Natural units (hbar = m = 1) are the default everywhere and can be
+overridden through :class:`PhysicsContext`.
 """
 
 from __future__ import annotations
@@ -31,19 +32,6 @@ class PhysicsContext:
 
 
 NATURAL_UNITS = PhysicsContext()
-
-
-@dataclass(frozen=True)
-class ScatteringAmplitudes:
-    """Complex transmission/reflection amplitude pair for one channel.
-
-    Amplitudes follow the flux-normalised asymptotic convention (each plane
-    wave carries a 1/sqrt(k) factor), so T = |t|^2 and R = |r|^2 hold even
-    when the incoming and outgoing wavenumbers differ.
-    """
-
-    t: complex
-    r: complex
 
 
 class MethodColumns(NamedTuple):

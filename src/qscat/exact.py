@@ -1,12 +1,12 @@
 """Closed-form scattering amplitudes and probabilities for the four potentials.
 
-Each case maps to one function: the delta, rectangular (both branches in one
-routine) and Hulthen hypergeometric amplitudes on an array of energies, and
-Eckart transmission (plus its literature reflection formula).  The three grids
-return the same (t, r, errors) triple, each point's error the first of a list of
-masks, and their scalar functions are its one-energy case.  The arithmetic is
-numpy's on whole arrays, save one complex quotient (``_quotient``) that divides
-last, so that a subnormal denominator does not overflow.
+Each family has one array function: the delta, rectangular (both branches in one
+routine) and Hulthen hypergeometric amplitudes on an array of energies, and the
+Eckart transmission (plus its literature reflection formula, one energy at a
+time).  The three amplitude grids return the same (t, r, errors) triple, each
+point's error the first of a list of masks.  The arithmetic is numpy's on whole
+arrays, save one complex quotient (``_quotient``) that divides last, so that a
+subnormal denominator does not overflow.
 The family classes in ``potentials`` call these; an Eckart or Hulthen argument
 ``p`` is read through its fields and ``p.asymptotes()`` only.
 """
@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core import PhysicsContext, ScatteringAmplitudes, first_errors
+from .core import PhysicsContext, first_errors
 from .errors import (
     ConvergenceError,
     DegenerateEnergyError,
@@ -94,14 +94,6 @@ def _amplitude_grid(energies: list, t: np.ndarray, r: np.ndarray, checks: list):
     leaves = ~(np.isfinite(t) & np.isfinite(r))
     checks = [*checks, (leaves, InvalidInputError, "amplitudes at energy {!r} leave double range")]
     return t, r, first_errors(energies, checks)
-
-
-def _one_point(grid) -> ScatteringAmplitudes:
-    # the single point of a one-energy grid, or the error it has
-    (t,), (r,), (error,) = grid
-    if error is not None:
-        raise error
-    return ScatteringAmplitudes(t=complex(t), r=complex(r))
 
 
 def delta_amplitudes_grid(alpha: float, energies, ctx: PhysicsContext):
@@ -193,37 +185,6 @@ def rectangular_amplitudes_grid(v0: float, a: float, energies, ctx: PhysicsConte
     ])
 
 
-def delta_amplitudes(alpha: float, energy: float, ctx: PhysicsContext) -> ScatteringAmplitudes:
-    """Delta potential amplitudes at one energy: the one-point case of
-    delta_amplitudes_grid; raises its error."""
-    return _one_point(delta_amplitudes_grid(alpha, [energy], ctx))
-
-
-def rectangular_above(
-    v0: float, a: float, energy: float, ctx: PhysicsContext
-) -> ScatteringAmplitudes:
-    """Rectangular barrier with E > v0 > 0 (oscillatory interior): the one-point case
-    of rectangular_amplitudes_grid; raises its error."""
-    if not energy > v0:
-        raise WrongCaseError(
-            f"energy {energy!r} is not above the barrier {v0!r}; use rectangular_below"
-        )
-    return _one_point(rectangular_amplitudes_grid(v0, a, [energy], ctx))
-
-
-def rectangular_below(
-    v0: float, a: float, energy: float, ctx: PhysicsContext
-) -> ScatteringAmplitudes:
-    """Rectangular barrier with 0 < E < v0 (tunneling): the one-point case of
-    rectangular_amplitudes_grid; raises its error."""
-    if not 0 < energy < v0:
-        raise WrongCaseError(
-            f"tunneling requires 0 < energy < v0, got energy={energy!r}, v0={v0!r}; "
-            f"use rectangular_above for E > v0"
-        )
-    return _one_point(rectangular_amplitudes_grid(v0, a, [energy], ctx))
-
-
 def _scaled_cosh(y: float, scale: float) -> float:
     # cosh(y) e^{-scale}, finite for |y| <= scale
     return 0.5 * (math.exp(abs(y) - scale) + math.exp(-abs(y) - scale))
@@ -280,15 +241,6 @@ def eckart_transmission_grid(p, energies, ctx: PhysicsContext, v0=None) -> tuple
          f"(V-inf = {v_minus!r}, V+inf = {v_plus!r})"),
         (~np.isfinite(t), InvalidInputError, "Eckart transmission at energy {!r} leaves double range"),
     ])
-
-
-def eckart_transmission(p, energy: float, ctx: PhysicsContext) -> float:
-    """Transmission probability for the Eckart profile ``p`` at one energy: the
-    one-point case of eckart_transmission_grid; raises its error."""
-    (t,), (error,) = eckart_transmission_grid(p, [energy], ctx)
-    if error is not None:
-        raise error
-    return t.item()
 
 
 def eckart_reflection_paper(
@@ -459,16 +411,3 @@ def hulthen_amplitudes_grid(p, energies, mass: float = 1.0, ctrl: SeriesControl 
          "Hulthen amplitudes at energy {!r} leave double range"),
         (defect > _MAX_DEFECT, ConvergenceError, "Hulthen amplitudes at energy {!r} miss unitarity"),
     ])
-
-
-def hulthen_amplitudes(
-    p, energy: float, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES
-) -> ScatteringAmplitudes:
-    """Hypergeometric transmission/reflection amplitudes for the Hulthen barrier.
-
-    Six 2F1 factors (f1..f6) enter the denominator and r; t is -2mu(1 - 2mu) q^(2mu)
-    over the denominator, its numerator a Wronskian in closed form (DLMF 15.10.3).
-    A point with |T + R - 1| > 1e-9 raises ConvergenceError.  The one-energy case of
-    hulthen_amplitudes_grid; raises its error.
-    """
-    return _one_point(hulthen_amplitudes_grid(p, [energy], mass, ctrl))

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .exact import (
     delta_amplitudes_grid,
-    eckart_transmission,
     eckart_transmission_grid,
     hulthen_amplitudes_grid,
     probability_arrays,
@@ -39,7 +38,7 @@ from .exact import (
 )
 from .resonance import Kind, ResonanceListing, ResonanceReport, Source, _label_for
 from . import specfun, wkb
-from .wkb import RegionSource, _actions, eckart_turning_points, hulthen_turning_points
+from .wkb import _actions, eckart_turning_points, hulthen_turning_points
 
 # the reflection resonance at the k = 0 boundary, where T vanishes
 _REFLECTION_AT_K0 = ResonanceListing(
@@ -287,8 +286,7 @@ class Eckart(_Family):
     def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
         # always between the closed-form turning points: no conventional fixed window
         x1, x2, checks = eckart_turning_points(self, energies)
-        return _actions(self.values, energies, x1, x2, RegionSource.SOLVED_TURNING_POINTS,
-                        wkb.DEFAULT_QUADRATURE, checks=checks)
+        return _actions(self.values, energies, x1, x2, wkb.DEFAULT_QUADRATURE, checks=checks)
 
     def bound_area(self) -> float:
         # the bound assumes one asymptotic k0 on both sides; equal asymptotes leave
@@ -305,22 +303,23 @@ class Eckart(_Family):
             return super().resonances(var, n_max, ctx, kind, energy)
         if kind is Kind.REFLECTION:
             return ResonanceListing((), reason="the Eckart potential has no reflection resonances")
-        symmetric = self.v_minus_inf == self.v_plus_inf
-        reports = []
-        for n in range(1, n_max + 1):
-            loc = -(ctx.hbar**2 / (2.0 * ctx.mass * self.a**2)) * n * (n + 1)
-            if symmetric:
-                # cos^2 term vanishes and sinh factors coincide: T = 1 at any energy
-                value = 1.0
-            else:
-                if energy is None:
-                    raise InvalidInputError(
-                        "asymmetric Eckart resonance values depend on the energy; pass energy="
-                    )
-                value = eckart_transmission(replace(self, v0=loc), energy, ctx)
-            reports.append(
-                ResonanceReport(Kind.TRANSMISSION, loc, value, Source.ANALYTIC, _label_for(value))
-            )
+        locs = [-(ctx.hbar**2 / (2.0 * ctx.mass * self.a**2)) * n * (n + 1)
+                for n in range(1, n_max + 1)]
+        if self.v_minus_inf == self.v_plus_inf:
+            # cos^2 term vanishes and sinh factors coincide: T = 1 at any energy
+            values = [1.0] * n_max
+        else:
+            if energy is None:
+                raise InvalidInputError(
+                    "asymmetric Eckart resonance values depend on the energy; pass energy="
+                )
+            t, errors = eckart_transmission_grid(self, np.full(n_max, energy), ctx, v0=locs)
+            error = next((e for e in errors if e is not None), None)
+            if error is not None:
+                raise error
+            values = t.tolist()
+        reports = [ResonanceReport(Kind.TRANSMISSION, loc, value, Source.ANALYTIC, _label_for(value))
+                   for loc, value in zip(locs, values)]
         return ResonanceListing(tuple(reports))
 
 
@@ -364,9 +363,8 @@ class Hulthen(_Family):
         ctrl = wkb.DEFAULT_QUADRATURE
         if solve_turning_points:
             edge, checks = hulthen_turning_points(self, energies)
-            return _actions(self.values, energies, -edge, edge, RegionSource.SOLVED_TURNING_POINTS,
-                            ctrl, checks=checks)
-        return _actions(self.values, energies, -1.0, 1.0, RegionSource.FIXED_LIMITS, ctrl, (0.0,),
+            return _actions(self.values, energies, -edge, edge, ctrl, checks=checks)
+        return _actions(self.values, energies, -1.0, 1.0, ctrl, (0.0,),
                         [(~(energies > 0), WrongCaseError, "WKB tunneling needs E > 0, got {!r}")])
 
     def bound_area(self) -> float:

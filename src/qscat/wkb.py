@@ -1,20 +1,17 @@
-"""WKB tunneling transmission for sampled potentials, with turning-point care.
+"""WKB tunneling transmission of the potential families, with turning-point care.
 
 T_w = exp(-2 sqrt(2m/hbar^2) * integral of sqrt(V(x) - E) over the barrier).
 
-``wkb_for_potential`` is the one-energy case of the family's ``wkb``, whose actions
-at an array of energies (``p.wkb_actions``) use what the family has in closed form:
-the rectangular action is 2a sqrt(v0 - E), and the Hulthen and Eckart turning
-points below solve V(x) = E exactly, as arrays.  Every other action, of a family
-or of an arbitrary potential callable passed to ``wkb_transmission``, goes through
-one routine: a Gauss-Legendre rule (48 against 96 nodes, halving an interval until
+The family's ``wkb`` takes its actions at an array of energies from
+``p.wkb_actions``, which uses what the family has in closed form: the rectangular
+action is 2a sqrt(v0 - E), and the Hulthen and Eckart turning points below solve
+V(x) = E exactly, as arrays.  Every other action goes through ``_actions`` and one
+routine: a Gauss-Legendre rule (48 against 96 nodes, halving an interval until
 they agree) that integrates the intervals of all energies in one call and refines
 each energy on its own; a region bounded by turning points is split at its
 midpoint and substituted u^2 = x - x1 (resp. x2 - x), which turns the square-root
-edge into a smooth function of u.  A scalar callable is applied node by node.
-
-``find_turning_points`` (scan and bisection) solves the region of an
-arbitrary potential callable.
+edge into a smooth function of u.  ``wkb_for_potential`` is the one-energy case
+of ``p.wkb``.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -39,11 +35,6 @@ _GL_COARSE, _GL_FINE = 48, 96
 _BATCH_OWNERS = 32
 
 
-class RegionSource(Enum):
-    SOLVED_TURNING_POINTS = "solved_turning_points"
-    FIXED_LIMITS = "fixed_limits"
-
-
 @dataclass(frozen=True)
 class QuadratureControl:
     abs_tol: float = 1e-10
@@ -57,23 +48,6 @@ class QuadratureControl:
 
 
 DEFAULT_QUADRATURE = QuadratureControl()
-
-
-@dataclass(frozen=True)
-class BarrierRegion:
-    """Integration limits, either classical turning points or fixed by hand."""
-
-    x1: float
-    x2: float
-    source: RegionSource = RegionSource.FIXED_LIMITS
-
-    def __post_init__(self):
-        if not self.x1 < self.x2:
-            raise InvalidInputError(f"need x1 < x2, got ({self.x1!r}, {self.x2!r})")
-
-
-def fixed_limits(x1: float, x2: float) -> BarrierRegion:
-    return BarrierRegion(x1, x2, RegionSource.FIXED_LIMITS)
 
 
 @functools.cache
@@ -149,12 +123,7 @@ def _integrate_gauss_legendre(
     return values, errors
 
 
-def _on_array(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Array function that applies the scalar callable f at each point."""
-    return lambda x: np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _actions(v, energies: np.ndarray, x1, x2, source: RegionSource, ctrl: QuadratureControl,
+def _actions(v, energies: np.ndarray, x1, x2, ctrl: QuadratureControl,
              breaks: tuple[float, ...] = (), checks: list = ()) -> tuple[np.ndarray, list]:
     """Integral of sqrt(V(x) - E) over the region (x1, x2) at each energy of the array:
     an array and, per energy, None or its error; the first of ``checks`` (mask, error
@@ -185,7 +154,7 @@ def _actions(v, energies: np.ndarray, x1, x2, source: RegionSource, ctrl: Quadra
         x = np.where(s > 0.0, x1[rows][:, None] + ss, x2[rows][:, None] - ss)
         return 2.0 * np.abs(s) * sqrt_gap(x, rows)
 
-    if source is RegionSource.FIXED_LIMITS:
+    if np.ndim(x1) == 0:
         below |= v(np.array([x1, x2])).min() - energies < -_NEGATIVE_SLACK
         actions, errors = _integrate_gauss_legendre(
             sqrt_gap, np.tile((x1, *breaks, x2), (energies.size, 1)), ctrl
@@ -197,74 +166,6 @@ def _actions(v, energies: np.ndarray, x1, x2, source: RegionSource, ctrl: Quadra
     checks = [*checks, (below, InvalidInputError, "V(x) < E = {!r} inside the barrier region; "
                         "shrink the region or use solved turning points")]
     return actions, [c or e for c, e in zip(first_errors(energies.tolist(), checks), errors)]
-
-
-def wkb_transmission(
-    potential: Callable[[float], float],
-    energy: float,
-    region: BarrierRegion,
-    ctx: PhysicsContext,
-    ctrl: QuadratureControl = DEFAULT_QUADRATURE,
-) -> float:
-    """Bare-exponential WKB transmission over the given barrier region.
-
-    The potential must satisfy V(x) >= E on the region; dips below
-    E - 1e-12 raise InvalidInputError, smaller negatives are clamped to zero
-    under the radical.
-    """
-    x1, x2 = region.x1, region.x2
-    if region.source is RegionSource.SOLVED_TURNING_POINTS:
-        x1, x2 = np.array([x1]), np.array([x2])
-    with np.errstate(all="ignore"):
-        (action,), (error,) = _actions(_on_array(potential), np.array([energy], dtype=float), x1, x2,
-                                       region.source, ctrl)
-    if error is not None:
-        raise error
-    return math.exp(-2.0 * math.sqrt(2.0 * ctx.mass) / ctx.hbar * action.item())
-
-
-def find_turning_points(
-    potential: Callable[[float], float],
-    energy: float,
-    bracket: tuple[float, float],
-    scan_points: int = 512,
-    x_tol: float = 1e-12,
-) -> BarrierRegion:
-    """Bisection-refined roots of V(x) - E from each side of the barrier.
-
-    The bracket endpoints must be classically allowed (V < E) with a barrier
-    (V > E) somewhere in between; otherwise NoBarrierError is raised.
-    """
-    lo, hi = bracket
-    if not lo < hi:
-        raise InvalidInputError(f"bad bracket {bracket!r}")
-    if potential(lo) >= energy or potential(hi) >= energy:
-        raise NoBarrierError(
-            f"bracket endpoints must satisfy V < E; got V({lo!r}) = {potential(lo)!r}, "
-            f"V({hi!r}) = {potential(hi)!r} at E = {energy!r}"
-        )
-    xs = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
-    above = [potential(x) > energy for x in xs]
-    if not any(above):
-        raise NoBarrierError(
-            f"V(x) never exceeds E = {energy!r} on the bracket {bracket!r}"
-        )
-    first = above.index(True)
-    last = len(above) - 1 - above[::-1].index(True)
-
-    def bisect(below: float, above: float) -> float:
-        # V(below) <= E < V(above), on either side of the root
-        while abs(above - below) > x_tol:
-            mid = 0.5 * (below + above)
-            if potential(mid) > energy:
-                above = mid
-            else:
-                below = mid
-        return 0.5 * (below + above)
-
-    x1 = bisect(xs[first - 1], xs[first])
-    x2 = bisect(xs[last + 1], xs[last])
-    return BarrierRegion(x1, x2, RegionSource.SOLVED_TURNING_POINTS)
 
 
 def hulthen_turning_points(p, energies: np.ndarray) -> tuple[np.ndarray, list]:

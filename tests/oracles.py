@@ -34,7 +34,7 @@ def _require_finite(name: str, z: complex) -> None:
 
 
 def probabilities_from_amplitudes(a) -> Probabilities:
-    """Squared moduli T = |t|^2 and R = |r|^2 of a ``ScatteringAmplitudes``, in scalar
+    """Squared moduli T = |t|^2 and R = |r|^2 of an amplitude pair (fields t and r), in scalar
     Python arithmetic (``qscat.exact.probability_arrays`` is the array form, equal to
     rounding).  Non-finite amplitudes raise InvalidInputError.
 
@@ -311,7 +311,7 @@ def eckart_transmission_amplitude(p, energy: float, ctx) -> complex:
     t = -i/(sqrt(k+ k-) a) * G(i kbar a + 1/2 + s) G(i kbar a + 1/2 - s)
         / (G(i k+ a) G(i k- a))
 
-    |t|^2 reproduces ``qscat.eckart_transmission`` by an independent route;
+    |t|^2 reproduces ``qscat.eckart_transmission_grid`` by an independent route;
     it uses qscat's own ``log_gamma`` on purpose, to exercise it in situ.
     """
     two_m_over_h2 = 2.0 * ctx.mass / ctx.hbar**2

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from oracles import mp_hyp2f1, probabilities_from_amplitudes, rectangular_bound_closed_form, unitarity_defect
+from one_point import bound, delta, eckart_transmission, hulthen, rectangular
 from qscat import (
     Delta,
     Eckart,
@@ -30,15 +31,9 @@ from qscat import (
     PhysicsContext,
     Rectangular,
     analytic_resonances,
-    delta_amplitudes,
-    eckart_transmission,
     gauss_2f1,
-    hulthen_amplitudes,
     log_gamma,
     numeric_resonances,
-    rectangular_above,
-    rectangular_below,
-    bound_for_potential,
     wkb_for_potential,
 )
 from qscat.cli import main
@@ -65,22 +60,22 @@ def test_criterion_1_unitarity_suite(rng):
         ctx = PhysicsContext(hbar=rng.uniform(0.5, 2.0), mass=rng.uniform(0.5, 2.0))
         worst["delta"] = max(
             worst["delta"],
-            unitarity_defect(_probs(delta_amplitudes(rng.uniform(0.1, 10), rng.uniform(0.01, 50), ctx))),
+            unitarity_defect(_probs(delta(rng.uniform(0.1, 10), rng.uniform(0.01, 50), ctx))),
         )
         v0, a = rng.uniform(0.1, 10.0), rng.uniform(0.1, 3.0)
         worst["rect_above"] = max(
             worst["rect_above"],
-            unitarity_defect(_probs(rectangular_above(v0, a, v0 * rng.uniform(1.01, 10.0), ctx))),
+            unitarity_defect(_probs(rectangular(v0, a, v0 * rng.uniform(1.01, 10.0), ctx))),
         )
         worst["rect_below"] = max(
             worst["rect_below"],
-            unitarity_defect(_probs(rectangular_below(v0, a, v0 * rng.uniform(0.01, 0.99), ctx))),
+            unitarity_defect(_probs(rectangular(v0, a, v0 * rng.uniform(0.01, 0.99), ctx))),
         )
     fig10a = Hulthen(v0=1.0, a=0.5, q=0.9)
     for energy in np.linspace(1.09, 10.0, 100):
         worst["hulthen"] = max(
             worst["hulthen"],
-            unitarity_defect(_probs(hulthen_amplitudes(fig10a, float(energy), 1.0))),
+            unitarity_defect(_probs(hulthen(fig10a, float(energy), 1.0))),
         )
     ok = (
         worst["delta"] < 1e-9
@@ -101,13 +96,13 @@ def test_criterion_2_rectangular_resonances():
     for a in (1.0, 2.0):
         for n in range(1, 6):
             q = n * math.pi / (2.0 * a)
-            t = _probs(rectangular_above(1.0, a, 1.0 + 0.5 * q * q, NATURAL)).transmission
+            t = _probs(rectangular(1.0, a, 1.0 + 0.5 * q * q, NATURAL)).transmission
             if abs(t - 1.0) >= 1e-12:
                 ok = False
                 details.append((a, n, t))
 
         def curve(q, a=a):
-            return _probs(rectangular_above(1.0, a, 1.0 + 0.5 * q * q, NATURAL)).transmission
+            return _probs(rectangular(1.0, a, 1.0 + 0.5 * q * q, NATURAL)).transmission
 
         hi = 5.5 * math.pi / (2.0 * a)
         found = [
@@ -151,7 +146,7 @@ def test_criterion_4_wkb_relative_error_trend():
 
     def exponent_error(v0):
         energy = ratio * v0
-        log_exact = math.log(_probs(rectangular_below(v0, a, energy, NATURAL)).transmission)
+        log_exact = math.log(_probs(rectangular(v0, a, energy, NATURAL)).transmission)
         log_wkb = math.log(wkb_for_potential(Rectangular(v0=v0, a=a), energy, NATURAL))
         qa = math.sqrt(2.0 * NATURAL.mass * (v0 - energy)) / NATURAL.hbar * a
         return abs(log_wkb - log_exact) / abs(log_exact), log_exact - log_wkb, qa
@@ -192,16 +187,16 @@ def test_criterion_5_bound_validity_and_tightness(rng):
         v0 = rng.uniform(0.1, 5.0)
         a = rng.uniform(0.1, 3.0)
         energy = v0 * rng.uniform(1.01, 50.0)
-        exact = _probs(rectangular_above(v0, a, energy, NATURAL)).transmission
+        exact = _probs(rectangular(v0, a, energy, NATURAL)).transmission
         closed = rectangular_bound_closed_form(v0, a, energy, NATURAL).lower_bound
-        numeric = bound_for_potential(Rectangular(v0=v0, a=a), energy, NATURAL).lower_bound
+        numeric = bound(Rectangular(v0=v0, a=a), energy, NATURAL).lower_bound
         worst_violation = max(worst_violation, closed - exact)
         worst_quad = max(worst_quad, abs(numeric - closed))
     if worst_violation > 1e-12 or worst_quad > 1e-10:
         ok = False
 
     def gap(v0, a, energy):
-        exact = _probs(rectangular_above(v0, a, energy, NATURAL)).transmission
+        exact = _probs(rectangular(v0, a, energy, NATURAL)).transmission
         return exact - rectangular_bound_closed_form(v0, a, energy, NATURAL).lower_bound
 
     for v0, a in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.7)):

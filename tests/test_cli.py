@@ -299,7 +299,8 @@ class TestSweep:
         assert first.read_bytes() == second.read_bytes()
 
     def test_round_trip_recompute(self, capsys, tmp_path):
-        from qscat import NATURAL_UNITS, rectangular_above
+        from one_point import rectangular
+        from qscat import NATURAL_UNITS
         from qscat.exact import probability_arrays
 
         out_file = tmp_path / "roundtrip.csv"
@@ -313,7 +314,7 @@ class TestSweep:
             cells = line.split(",")
             q = float(cells[0])
             energy = 1.0 + 0.5 * q * q
-            amps = rectangular_above(1.0, 1.0, energy, NATURAL_UNITS)
+            amps = rectangular(1.0, 1.0, energy, NATURAL_UNITS)
             (t,), _, _ = probability_arrays(np.array([amps.t]), np.array([amps.r]))
             assert t == float(cells[1])
 
@@ -675,7 +676,7 @@ class TestOverflowCells:
             (
                 ("sweep", *HULTHEN, "--var", "E", "--lo", "1.09", "--hi", "10", "--points", "3",
                  "--methods", "bound", "--hbar", "1e-200"),
-                [True, True, True],  # division by zero in bound_for_potential
+                [True, True, True],  # division by zero in bound_integrals
             ),
             (
                 ("sweep", *HULTHEN, "--var", "E", "--lo", "1.09", "--hi", "1e300", "--points", "3"),

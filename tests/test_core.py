@@ -6,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import Probabilities, probabilities_from_amplitudes, unitarity_defect
-from qscat import PhysicsContext, ScatteringAmplitudes
+from one_point import Amplitudes
+from qscat import PhysicsContext
 from qscat.errors import InvalidInputError
 
 
 def _amps(t, r):
-    return ScatteringAmplitudes(t=t, r=r)
+    return Amplitudes(t=t, r=r)
 
 
 def test_free_propagation():

@@ -10,8 +10,8 @@ from oracles import (
     scalar_eckart_transmission,
     schrodinger_transmission,
 )
-from qscat import Eckart, PhysicsContext, bound_for_potential, eckart_reflection_paper, eckart_transmission
-from qscat.exact import eckart_transmission_grid
+from one_point import bound, eckart_transmission
+from qscat import Eckart, PhysicsContext, eckart_reflection_paper, eckart_transmission_grid
 from qscat.errors import InvalidInputError, WrongCaseError
 
 
@@ -123,7 +123,7 @@ class TestTransmission:
         t = eckart_transmission(e, 1.0, ctx)
         assert t == pytest.approx(mp_eckart_transmission(0.0, 0.0, 1.0, a, 1.0), rel=1e-9, abs=0.0)
         # the bound is tight here: it may sit a rounding error above T
-        assert bound_for_potential(e, 1.0, ctx).lower_bound <= t * (1.0 + 1e-9)
+        assert bound(e, 1.0, ctx).lower_bound <= t * (1.0 + 1e-9)
 
     def test_evanescent_channel_rejected(self, ctx):
         with pytest.raises(WrongCaseError):

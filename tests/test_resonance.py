@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oracles import probabilities_from_amplitudes
+from one_point import eckart_transmission, hulthen, rectangular
 from qscat import (
     Delta,
     Eckart,
@@ -10,9 +11,7 @@ from qscat import (
     PhysicsContext,
     Rectangular,
     analytic_resonances,
-    hulthen_amplitudes,
     numeric_resonances,
-    rectangular_above,
 )
 from qscat.errors import InvalidInputError, UnsupportedOperationError
 from qscat.resonance import Kind, Source, golden_section_max
@@ -31,9 +30,7 @@ def _listwise(f):
 def _rect_t_curve(a, ctx):
     def curve(q):
         energy = 1.0 + 0.5 * q**2
-        return probabilities_from_amplitudes(
-            rectangular_above(1.0, a, energy, ctx)
-        ).transmission
+        return probabilities_from_amplitudes(rectangular(1.0, a, energy, ctx)).transmission
 
     return curve
 
@@ -75,8 +72,6 @@ class TestAnalytic:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_eckart_locations_are_local_maxima(self, ctx, symmetric):
         from dataclasses import replace
-
-        from qscat import eckart_transmission
 
         v_minus = 0.0 if symmetric else 1.5
         e = Eckart(v_minus_inf=v_minus, v_plus_inf=0.0, v0=0.0, a=1.0)
@@ -157,9 +152,7 @@ class TestNumeric:
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
 
         def curve(energy):
-            return probabilities_from_amplitudes(
-                hulthen_amplitudes(h, energy)
-            ).transmission
+            return probabilities_from_amplitudes(hulthen(h, energy)).transmission
 
         reports = numeric_resonances(_listwise(curve), (1.09, 10.0), grid_n=256, refine_tol=1e-8)
         assert len(reports) >= 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import one_point
 from qscat import (
     NATURAL_UNITS,
     Delta,
@@ -12,11 +13,6 @@ from qscat import (
     Rectangular,
     SeriesControl,
     SweepSpec,
-    bound_for_potential,
-    delta_amplitudes,
-    hulthen_amplitudes,
-    rectangular_above,
-    rectangular_below,
     run_sweep,
     wkb_for_potential,
 )
@@ -24,7 +20,16 @@ from qscat import exact, specfun, wkb
 from qscat.errors import InvalidInputError, QscatError
 from qscat.exact import _connection_route, _hulthen_parameters
 from qscat.cli import render_sweep_csv
-from qscat.sweep import METHOD_ORDER, sweep_rows
+from qscat.sweep import (
+    METHOD_ORDER,
+    MethodResult,
+    SweepRow,
+    SweepTable,
+    _cells,
+    evaluate_methods,
+    evaluate_table,
+    sweep_rows,
+)
 
 
 def _point_by_point(spec):
@@ -36,7 +41,7 @@ EXACT = frozenset({"exact"})
 
 
 class TestGrid:
-    def test_two_points_hit_both_endpoints(self):
+    def test_two_pointshit_both_endpoints(self):
         spec = SweepSpec(Delta(alpha=1.0), "k", lo=0.5, hi=2.0, points=2, methods=EXACT)
         rows = run_sweep(spec)
         assert [r.variable_value for r in rows] == [0.5, 2.0]
@@ -99,7 +104,7 @@ class TestPurityAndDeterminism:
         assert rows == _point_by_point(spec)
         assert all(r.results["exact"].error is None for r in rows)
 
-    def test_hulthen_noconv_points_independent_of_batch(self, monkeypatch):
+    def test_hulthen_noconv_pointsindependent_of_batch(self, monkeypatch):
         # a mixed-route batch: up to E ~ 24, (1 - q)|nu| <= 5 and the points take
         # the connection route, whose series need <= 40 terms; above, the direct
         # series need ~350, and 350 terms are too few for the longest series of
@@ -127,7 +132,7 @@ class TestPurityAndDeterminism:
         assert run_sweep(spec) == rows
         assert {r.results["wkb"].error for r in rows} == {None, "invalid"}
 
-    def test_hulthen_rows_independent_of_points_per_call(self, monkeypatch):
+    def test_hulthen_rows_independent_of_pointsper_call(self, monkeypatch):
         # a long sweep splits each route into calls of _BATCH_POINTS points
         spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=60.0, points=30)
         rows = run_sweep(spec)
@@ -246,62 +251,59 @@ class TestValidation:
             SweepSpec(Delta(alpha=1.0), "k", lo=lo, hi=hi, points=3)
 
 
-# (potential, swept variable, [(value, code of its exact row, code the public scalar
-# function raises)]): both branches of each closed form, and the points where they
-# fail.  The scalar codes differ from the row's only where rectangular_below's own
-# precondition 0 < E < v0 comes first.
+# (potential, swept variable, [(value, code of its exact row)]): both branches of each
+# closed form, and the points where they fail
 CLOSED_FORM_BATCHES = {
     "delta-k": (Delta(1.0), "k", [
-        (0.02, None, None), (1.0, None, None), (7.5, None, None),
-        (1e200, "invalid", None),  # (hbar k)^2 overflows in the sweep map
+        (0.02, None), (1.0, None), (7.5, None),
+        (1e200, "invalid"),  # (hbar k)^2 overflows in the sweep map
     ]),
     "delta-E": (Delta(1.0), "E", [
-        (0.5, None, None), (50.0, None, None), (5e307, None, None),
-        (0.0, "invalid", "invalid"), (-1.0, "invalid", "invalid"),
-        (1e308, "invalid", "invalid"),  # 2 m E overflows
+        (0.5, None), (50.0, None), (5e307, None),
+        (0.0, "invalid"), (-1.0, "invalid"),
+        (1e308, "invalid"),  # 2 m E overflows
     ]),
     "rect-E": (Rectangular(1.0, 1.0), "E", [
-        (0.5, None, None), (2.0, None, None),
-        (1.0, "degenerate", None),  # E = v0: no point to evaluate
-        (0.0, "invalid", "wrongcase"), (-0.5, "invalid", "wrongcase"),
-        (5e307, "invalid", "invalid"),  # (k + q)^2 overflows
+        (0.5, None), (2.0, None),
+        (1.0, "degenerate"),  # E = v0: no point to evaluate
+        (0.0, "invalid"), (-0.5, "invalid"),
+        (5e307, "invalid"),  # (k + q)^2 overflows
     ]),
     "rect-phase": (Rectangular(1.0, 1e290), "E", [
-        (0.5, None, None), (2.0, None, None),
-        (1e40, "invalid", "invalid"),  # 2ka is infinite
+        (0.5, None), (2.0, None),
+        (1e40, "invalid"),  # 2ka is infinite
     ]),
     "rect-q": (Rectangular(0.5, 1.0), "q", [
-        (0.0025, None, None), (1.0, None, None), (10.0, None, None),
-        (0.0, "degenerate", None),
-        (1e200, "invalid", None),  # (hbar q)^2 overflows in the sweep map
+        (0.0025, None), (1.0, None), (10.0, None),
+        (0.0, "degenerate"),
+        (1e200, "invalid"),  # (hbar q)^2 overflows in the sweep map
     ]),
     "hulthen-E": (Hulthen(1.0, 0.5, 0.999), "E", [
-        (2.0, None, None), (7.5, None, None),
-        (1.0, "wrongcase", "wrongcase"), (0.5, "wrongcase", "wrongcase"),  # E <= m
-        (1e300, "invalid", "invalid"),  # E^2 overflows
-        (1e4, "noconv", "noconv"),  # the direct series at q = 0.999 exceed the term cap
+        (2.0, None), (7.5, None),
+        (1.0, "wrongcase"), (0.5, "wrongcase"),  # E <= m
+        (1e300, "invalid"),  # E^2 overflows
+        (1e4, "noconv"),  # the direct series at q = 0.999 exceed the term cap
     ]),
 }
 
 
-def _scalar(p, energy):
+def _one_point(p, energy):
     if isinstance(p, Delta):
-        return delta_amplitudes(p.alpha, energy, NATURAL_UNITS)
+        return one_point.delta(p.alpha, energy, NATURAL_UNITS)
     if isinstance(p, Hulthen):
-        return hulthen_amplitudes(p, energy, NATURAL_UNITS.mass)
-    formula = rectangular_above if energy > p.v0 else rectangular_below
-    return formula(p.v0, p.a, energy, NATURAL_UNITS)
+        return one_point.hulthen(p, energy, NATURAL_UNITS.mass)
+    return one_point.rectangular(p.v0, p.a, energy, NATURAL_UNITS)
 
 
 @pytest.mark.parametrize("case", sorted(CLOSED_FORM_BATCHES))
 def test_closed_form_rows_are_one_path_and_batch_independent(case):
     """Each delta, rectangular and Hulthen row is the same alone and in a mixed batch, and is
-    the public scalar function's result (or error) at that energy, bit for bit."""
+    the one-energy amplitude grid's result (or error) at that energy, bit for bit."""
     p, variable, points = CLOSED_FORM_BATCHES[case]
     spec = SweepSpec(p, variable, lo=1.0, hi=2.0, points=2)
     to_point = p.sweep_map(variable, NATURAL_UNITS, {})
-    batch = sweep_rows(spec, [x for x, _, _ in points])
-    for (x, code, scalar_code), row in zip(points, batch):
+    batch = sweep_rows(spec, [x for x, _ in points])
+    for (x, code), row in zip(points, batch):
         assert sweep_rows(spec, [x]) == [row]
         res = row.results["exact"]
         assert res.error == code
@@ -311,14 +313,14 @@ def test_closed_form_rows_are_one_path_and_batch_independent(case):
             continue
         energy = energy.item()
         if code is None:
-            amps = _scalar(p, energy)
+            amps = _one_point(p, energy)
             probs = exact.probability_arrays(np.array([amps.t]), np.array([amps.r]))
             # T, R and the defect are >= 0, so == compares every bit
             assert (res.transmission, res.reflection, res.defect) == tuple(x.item() for x in probs)
         else:
             with pytest.raises(QscatError) as raised:
-                _scalar(p, energy)
-            assert raised.value.code == scalar_code
+                _one_point(p, energy)
+            assert raised.value.code == code
 
 
 # (method, potential, ctx, [(energy, code of its row)]): numbers and every error code
@@ -359,12 +361,13 @@ METHOD_BATCHES = {
 
 
 def _scalar_method(method, p, energy, ctx):
-    """(value, code) of the public scalar function of method at energy."""
+    """(value, code) of method at energy alone: wkb_for_potential, or p.bound of a
+    one-element list."""
     try:
         if method == "wkb":
             value = wkb_for_potential(p, energy, ctx)
         else:
-            value = bound_for_potential(p, energy, ctx).lower_bound
+            value = one_point.bound(p, energy, ctx).lower_bound
     except QscatError as exc:
         return None, exc.code
     except ArithmeticError:
@@ -454,3 +457,35 @@ def test_table_and_rows_follow_one_rule(case):
     codes = {res.error for row in sweep_rows(spec, values) for res in row.results.values()}
     assert None in codes or case == "eckart-V0-evanescent"
     assert codes - {None}
+
+
+def test_rows_built_one_energy_at_a_time_render_as_the_family_table():
+    """A list of SweepRow, each from wkb_for_potential at one energy (a MethodResult
+    with T, or with the error code), renders as the table of the family's wkb over
+    all energies: the rows perfbench/run.py builds for its hulthen_turning_points panel."""
+    p, methods = Hulthen(1.0, 0.5, 0.9), frozenset({"wkb"})
+    peak = p.v0 / (1.0 - p.q)
+    energies = SweepSpec(p, "E", 0.005 * peak, 0.95 * peak, 100).grid().tolist() + [peak, 12.0, 0.0]
+    rows = []
+    for energy in energies:
+        try:
+            t = wkb_for_potential(p, energy, NATURAL_UNITS, solve_turning_points=True)
+            res = MethodResult("wkb", transmission=t)
+        except QscatError as exc:
+            res = MethodResult("wkb", error=exc.code)
+        rows.append(SweepRow(energy, {"wkb": res}))
+    columns = {"wkb": _cells(p.wkb(energies, NATURAL_UNITS, solve_turning_points=True), [], None)}
+    table = SweepTable(energies, columns, [None] * len(energies), [False] * len(energies))
+    assert {row.results["wkb"].error for row in rows} == {None, "nobarrier"}
+    assert render_sweep_csv(rows, methods) == render_sweep_csv(table, methods)
+
+
+@pytest.mark.parametrize("p, energy", [
+    (Delta(1.0), 0.5), (Rectangular(1.0, 1.0), 0.5), (Rectangular(1.0, 1.0), 1.0),
+    (Eckart(0.0, 0.0, 1.0, 1.0), 0.5), (Eckart(1.5, 0.0, 1.0, 1.0), 2.0), (Hulthen(1.0, 0.5, 0.9), 2.0),
+])
+def test_evaluate_methods_is_row_zero_of_evaluate_table(p, energy):
+    # row 0 of a batch whose other rows fail in some methods
+    methods = frozenset(METHOD_ORDER)
+    row = evaluate_table(p, [energy, 2.0 * energy + 1.0, -1.0], methods)[0]
+    assert evaluate_methods(p, energy, methods) == (row.results, row.bound_gap)

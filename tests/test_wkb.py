@@ -7,21 +7,17 @@ import numpy as np
 import pytest
 
 from oracles import mp_wkb_transmission, probabilities_from_amplitudes
+from one_point import rectangular
 
 from qscat import (
     NATURAL_UNITS,
-    BarrierRegion,
     Delta,
     Eckart,
     Hulthen,
     MethodResult,
     QuadratureControl,
     Rectangular,
-    find_turning_points,
-    fixed_limits,
-    rectangular_below,
     wkb_for_potential,
-    wkb_transmission,
 )
 from qscat.errors import (
     ConvergenceError,
@@ -34,7 +30,6 @@ from qscat.errors import (
 from qscat import wkb
 from qscat.wkb import (
     DEFAULT_QUADRATURE,
-    RegionSource,
     _actions,
     _integrate_gauss_legendre,
     eckart_turning_points,
@@ -111,9 +106,13 @@ class TestFamilyTurningPoints:
         (x1,), (x2,), _ = eckart_turning_points(e, np.array([energy]))
         for x in (x1, x2):
             assert abs(e.values(x) - energy) <= 1e-12
-        scanned = find_turning_points(lambda x: e.values(x), energy, (-50.0, 50.0))
-        assert x1 == pytest.approx(scanned.x1, abs=1e-10)
-        assert x2 == pytest.approx(scanned.x2, abs=1e-10)
+        # V - E < 0 at x = -+5 and > 0 at x = 0 (V = 3.25): one root on each side
+        v = _mp_eckart(e)
+        with mp.workdps(30):
+            roots = [mp.findroot(lambda x: v(x) - energy, side, solver="anderson")
+                     for side in ((-5, 0), (0, 5))]
+        assert x1 == pytest.approx(float(roots[0]), abs=1e-10)
+        assert x2 == pytest.approx(float(roots[1]), abs=1e-10)
 
     def test_eckart_no_barrier(self, ctx):
         e = self.ASYMMETRIC
@@ -159,18 +158,10 @@ class TestFamilyTurningPoints:
         # the estimate is that of the whole action, in every path that integrates;
         # each case runs on the module's DEFAULT_QUADRATURE, read when it is called
         h, e = Hulthen(v0=1.0, a=0.5, q=0.9), self.ASYMMETRIC
-        (edge,), _ = hulthen_turning_points(h, np.array([1.0]))
-        solved = BarrierRegion(-edge, edge, RegionSource.SOLVED_TURNING_POINTS)
         cases = [
             lambda: wkb_for_potential(h, 1.0, ctx),
             lambda: wkb_for_potential(h, 1.0, ctx, solve_turning_points=True),
             lambda: wkb_for_potential(e, 1.0, ctx),
-            lambda: wkb_transmission(
-                lambda x: h.values(x), 1.0, fixed_limits(-1.0, 1.0), ctx, wkb.DEFAULT_QUADRATURE
-            ),
-            lambda: wkb_transmission(
-                lambda x: h.values(x), 1.0, solved, ctx, wkb.DEFAULT_QUADRATURE
-            ),
         ]
         for run in cases:
             with monkeypatch.context() as m, pytest.raises(ConvergenceError) as exc_info:
@@ -186,33 +177,38 @@ class TestGenericRegion:
         ts = [wkb_for_potential(Rectangular(v0=1.0, a=a), 0.5, ctx) for a in widths]
         assert all(b < a for a, b in zip(ts, ts[1:]))
 
-    def test_region_dipping_below_energy_rejected(self, ctx):
+    def test_region_dipping_below_energy_rejected(self):
+        # fixed limits (-2, 2): V = 0 < E outside the barrier
         r = Rectangular(v0=1.0, a=1.0)
-        region = fixed_limits(-2.0, 2.0)  # V = 0 < E outside the barrier
-        with pytest.raises(InvalidInputError):
-            wkb_transmission(lambda x: r.values(x), 0.5, region, ctx)
+        (action,), (error,) = _actions(r.values, np.array([0.5]), -2.0, 2.0, DEFAULT_QUADRATURE)
+        assert isinstance(error, InvalidInputError) and "V(x) < E" in str(error)
 
-    def test_tiny_negative_noise_clamped(self, ctx):
-        region = fixed_limits(0.0, 1.0)
-        t = wkb_transmission(lambda x: -5e-13, 0.0, region, ctx)
-        assert t == pytest.approx(1.0, abs=1e-6)
+    def test_tiny_negative_noise_clamped(self):
+        # V - E = -5e-13 on the whole fixed region: clamped to zero under the radical
+        def v(x):
+            return np.full(np.shape(x), -5e-13)
 
-    def test_quadrature_nonconvergence_reports_estimate(self, ctx):
+        (action,), (error,) = _actions(v, np.array([0.0]), 0.0, 1.0, DEFAULT_QUADRATURE)
+        assert error is None
+        assert math.exp(-2.0 * math.sqrt(2.0) * action) == pytest.approx(1.0, abs=1e-6)
+
+    def test_quadrature_nonconvergence_reports_estimate(self, ctx, monkeypatch):
+        # the Hulthen fixed (-1, 1) window, at a tolerance it cannot meet in 3 halvings
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
-        ctrl = QuadratureControl(abs_tol=1e-15, max_depth=3)
+        monkeypatch.setattr(wkb, "DEFAULT_QUADRATURE", QuadratureControl(abs_tol=1e-15, max_depth=3))
         with pytest.raises(ConvergenceError) as exc_info:
-            wkb_transmission(lambda x: h.values(x), 0.5, fixed_limits(-1.0, 1.0), ctx, ctrl)
+            wkb_for_potential(h, 0.5, ctx)
         assert exc_info.value.estimate is not None
 
     def test_rounding_noise_stops_refinement(self):
         # an action of ~3.5e7 carries rounding noise above abs_tol; refinement
         # must give up with ConvergenceError instead of halving without end
         code = (
-            "from qscat import NATURAL_UNITS, Hulthen, fixed_limits, wkb_transmission\n"
+            "from qscat import NATURAL_UNITS, Hulthen, wkb_for_potential\n"
             "from qscat.errors import ConvergenceError\n"
             "h = Hulthen(1e14, 0.5, 0.9)\n"
             "try:\n"
-            "    wkb_transmission(lambda x: h.values(x), 1.0, fixed_limits(-1, 1), NATURAL_UNITS)\n"
+            "    wkb_for_potential(h, 1.0, NATURAL_UNITS)\n"
             "except ConvergenceError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit('no ConvergenceError')\n"
@@ -242,35 +238,34 @@ class TestTurningPoints:
         energy = 0.5
         (edge,), _ = hulthen_turning_points(h, np.array([energy]))
         assert edge == pytest.approx(2.0 * math.log(2.9), rel=1e-12)
-        region = find_turning_points(lambda x: h.values(x), energy, (-6.0, 6.0))
-        assert region.source is RegionSource.SOLVED_TURNING_POINTS
-        assert region.x1 == pytest.approx(-edge, abs=1e-10)
-        assert region.x2 == pytest.approx(edge, abs=1e-10)
+        # V - E changes sign once on x > 0, where V(0) = 10 > E
+        v = _mp_hulthen(h)
+        with mp.workdps(30):
+            root = mp.findroot(lambda x: v(x) - energy, (0, 6), solver="anderson")
+        assert edge == pytest.approx(float(root), abs=1e-10)
 
     def test_eckart_residuals(self, ctx):
+        # the symmetric profile: roots t = -+sqrt(1 - E/v0), mirror images in x
         e = Eckart(v_minus_inf=0.0, v_plus_inf=0.0, v0=3.0, a=1.0)
         energy = 1.0
-        region = find_turning_points(lambda x: e.values(x), energy, (-50.0, 50.0))
-        assert abs(e.values(region.x1) - energy) < 1e-10
-        assert abs(e.values(region.x2) - energy) < 1e-10
+        (x1,), (x2,), _ = eckart_turning_points(e, np.array([energy]))
+        assert abs(e.values(x1) - energy) < 1e-10
+        assert abs(e.values(x2) - energy) < 1e-10
+        assert x1 == pytest.approx(-x2, rel=1e-14)
 
-    def test_no_barrier(self):
+    def test_no_barrier(self, ctx):
+        # E = 20 lies above the peak v0 / (1 - q) = 10: no turning points
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
+        _, ((mask, error, _),) = hulthen_turning_points(h, np.array([20.0, 0.5]))
+        assert mask.tolist() == [True, False] and error is NoBarrierError
         with pytest.raises(NoBarrierError):
-            find_turning_points(lambda x: h.values(x), 20.0, (-6.0, 6.0))
-
-    def test_endpoint_must_be_allowed(self):
-        h = Hulthen(v0=1.0, a=0.5, q=0.9)
-        with pytest.raises(NoBarrierError):
-            find_turning_points(lambda x: h.values(x), 0.5, (-0.5, 0.5))
+            wkb_for_potential(h, 20.0, ctx, solve_turning_points=True)
 
 
 class TestAccuracyTrend:
     def _rel_err(self, v0, ratio, ctx):
         energy = ratio * v0
-        exact = probabilities_from_amplitudes(
-            rectangular_below(v0, 1.0, energy, ctx)
-        ).transmission
+        exact = probabilities_from_amplitudes(rectangular(v0, 1.0, energy, ctx)).transmission
         approx = wkb_for_potential(Rectangular(v0=v0, a=1.0), energy, ctx)
         return abs(approx - exact) / exact
 
@@ -283,9 +278,7 @@ class TestAccuracyTrend:
         # the published trend in absolute terms, at the mid-barrier ratio
         def abs_err(v0):
             energy = 0.5 * v0
-            exact = probabilities_from_amplitudes(
-                rectangular_below(v0, 1.0, energy, ctx)
-            ).transmission
+            exact = probabilities_from_amplitudes(rectangular(v0, 1.0, energy, ctx)).transmission
             return abs(wkb_for_potential(Rectangular(v0=v0, a=1.0), energy, ctx) - exact)
 
         assert abs_err(100.0) < 1e-12 * abs_err(1.0)
@@ -382,8 +375,7 @@ class TestBatchedIntegrator:
 
         for energies in ([0.5], [math.nan, 0.5]):
             with np.errstate(all="ignore"):
-                _, errors = _actions(v, np.array(energies), -1.0, 1.0, RegionSource.FIXED_LIMITS,
-                                     QuadratureControl(abs_tol=1.0))
+                _, errors = _actions(v, np.array(energies), -1.0, 1.0, QuadratureControl(abs_tol=1.0))
             assert isinstance(errors[-1], InvalidInputError) and "V(x) < E" in str(errors[-1])
 
     @pytest.mark.parametrize("p, energies", [
