@@ -67,8 +67,10 @@ def asymptotic_wavenumbers(p, energy: float, ctx: PhysicsContext) -> tuple[float
 
 def probability_arrays(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T = |t|^2, R = |r|^2 and the defect |T + R - 1| at each element of the complex
-    arrays t and r; no finiteness check."""
-    transmission, reflection = np.square(np.abs(t)), np.square(np.abs(r))
+    arrays t and r; no finiteness check.  |t|^2 is Re(t)^2 + Im(t)^2: squaring numpy's
+    complex abs carries its own rounding (up to ~5e-16 relative) into T."""
+    transmission = np.square(t.real) + np.square(t.imag)
+    reflection = np.square(r.real) + np.square(r.imag)
     with np.errstate(invalid="ignore"):
         return transmission, reflection, np.abs(transmission + reflection - 1.0)
 

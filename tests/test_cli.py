@@ -197,8 +197,8 @@ class TestEval:
         argv = ("eval", *HULTHEN, "--energy", "2", "--method", "exact", "--method", "bound")
         header = "energy,exact_T,exact_R,exact_defect,bound_T,bound_gap\n"
         assert run_cli(capsys, *argv, "--hbar", "1") == (0, header + (
-            "2.00000000000,0.07180277379138814,0.9281972262084391,1.7275070263167436e-13,"
-            "0.00014374221471182873,0.0716590315766763\n"
+            "2.00000000000,0.07180277379138815,0.9281972262084391,1.7275070263167436e-13,"
+            "0.00014374221471182873,0.07165903157667632\n"
         ), "")
         assert run_cli(capsys, *argv, "--hbar", "2") == (0, header + (
             "2.00000000000,ERR:unsupported,ERR:unsupported,ERR:unsupported,"
