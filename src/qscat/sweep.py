@@ -157,7 +157,8 @@ def evaluate_methods(
     ctx: PhysicsContext = NATURAL_UNITS,
 ) -> tuple[dict[str, MethodResult], float | None]:
     """All requested methods at one (potential, energy) point: the one-point case of
-    evaluate_table, as (results by method, exact-minus-bound gap or None)."""
+    evaluate_table, as (results by method, exact-minus-bound gap or None).  Public
+    for the benchmark harness in ``perfbench/``."""
     row = evaluate_table(p, [energy], methods, ctx)[0]
     return row.results, row.bound_gap
 

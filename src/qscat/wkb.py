@@ -10,8 +10,8 @@ routine: a Gauss-Legendre rule (48 against 96 nodes, halving an interval until
 they agree) that integrates the intervals of all energies in one call and refines
 each energy on its own; a region bounded by turning points is split at its
 midpoint and substituted u^2 = x - x1 (resp. x2 - x), which turns the square-root
-edge into a smooth function of u.  ``wkb_for_potential`` is the one-energy case
-of ``p.wkb``.
+edge into a smooth function of u.  ``wkb_for_potential``, the one-energy case
+of ``p.wkb``, stays public for the benchmark harness in ``perfbench/``.
 """
 
 from __future__ import annotations

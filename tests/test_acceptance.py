@@ -25,7 +25,6 @@ import pytest
 from oracles import mp_hyp2f1, probabilities_from_amplitudes, rectangular_bound_closed_form, unitarity_defect
 from one_point import bound, delta, eckart_transmission, hulthen, rectangular
 from qscat import (
-    Delta,
     Eckart,
     Hulthen,
     PhysicsContext,

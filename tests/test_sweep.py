@@ -41,7 +41,7 @@ EXACT = frozenset({"exact"})
 
 
 class TestGrid:
-    def test_two_pointshit_both_endpoints(self):
+    def test_two_points_hit_both_endpoints(self):
         spec = SweepSpec(Delta(alpha=1.0), "k", lo=0.5, hi=2.0, points=2, methods=EXACT)
         rows = run_sweep(spec)
         assert [r.variable_value for r in rows] == [0.5, 2.0]
@@ -104,7 +104,7 @@ class TestPurityAndDeterminism:
         assert rows == _point_by_point(spec)
         assert all(r.results["exact"].error is None for r in rows)
 
-    def test_hulthen_noconv_pointsindependent_of_batch(self, monkeypatch):
+    def test_hulthen_noconv_points_independent_of_batch(self, monkeypatch):
         # a mixed-route batch: up to E ~ 24, (1 - q)|nu| <= 5 and the points take
         # the connection route, whose series need <= 40 terms; above, the direct
         # series need ~350, and 350 terms are too few for the longest series of
@@ -132,7 +132,7 @@ class TestPurityAndDeterminism:
         assert run_sweep(spec) == rows
         assert {r.results["wkb"].error for r in rows} == {None, "invalid"}
 
-    def test_hulthen_rows_independent_of_pointsper_call(self, monkeypatch):
+    def test_hulthen_rows_independent_of_points_per_call(self, monkeypatch):
         # a long sweep splits each route into calls of _BATCH_POINTS points
         spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=60.0, points=30)
         rows = run_sweep(spec)

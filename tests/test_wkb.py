@@ -180,7 +180,7 @@ class TestGenericRegion:
     def test_region_dipping_below_energy_rejected(self):
         # fixed limits (-2, 2): V = 0 < E outside the barrier
         r = Rectangular(v0=1.0, a=1.0)
-        (action,), (error,) = _actions(r.values, np.array([0.5]), -2.0, 2.0, DEFAULT_QUADRATURE)
+        _, (error,) = _actions(r.values, np.array([0.5]), -2.0, 2.0, DEFAULT_QUADRATURE)
         assert isinstance(error, InvalidInputError) and "V(x) < E" in str(error)
 
     def test_tiny_negative_noise_clamped(self):
