@@ -15,8 +15,8 @@ from .exact import (
     hulthen_amplitudes_grid,
     rectangular_amplitudes_grid,
 )
-from .specfun import DEFAULT_SERIES, SeriesControl, gauss_2f1, log_gamma
-from .wkb import QuadratureControl, wkb_for_potential
+from .specfun import gauss_2f1, log_gamma
+from .wkb import wkb_for_potential
 from .resonance import (
     Kind,
     ResonanceListing,

@@ -25,12 +25,7 @@ from .errors import (
     InvalidInputError,
     WrongCaseError,
 )
-from .specfun import (
-    DEFAULT_SERIES,
-    SeriesControl,
-    _hyp2f1_series,
-    log_gamma,
-)
+from .specfun import _hyp2f1_series, log_gamma
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -325,13 +320,13 @@ def _connection_route(q: float, lam, nu):
             & (nu <= _CONNECTION_MAX_NU_PER_LAM * np.minimum(1.0, np.abs(lam))))
 
 
-def _direct_factors(rows, q: float, ctrl: SeriesControl):
+def _direct_factors(rows, q: float):
     """Each row's 2F1(a, b; c; q) by its power series, and whether it converged."""
-    values, _, converged, _ = zip(*_hyp2f1_series(rows, q, ctrl.rel_tol, ctrl.max_terms))
+    values, _, converged, _ = zip(*_hyp2f1_series(rows, q))
     return np.array(values), np.array(converged)
 
 
-def _connection_factors(rows, q: float, ctrl: SeriesControl):
+def _connection_factors(rows, q: float):
     """Each row's 2F1(a, b; c; q) by DLMF 15.8.4, and whether both its series converged.
 
     F(a, b; c; q) = G1 F(a, b; s' ; 1 - q) + (1 - q)^s G2 F(c - a, c - b; s + 1; 1 - q)
@@ -343,7 +338,7 @@ def _connection_factors(rows, q: float, ctrl: SeriesControl):
     a, b, c = rows.T
     s = c - a - b
     pairs = np.concatenate([np.stack([a, b, 1.0 - s], 1), np.stack([c - a, c - b, 1.0 + s], 1)])
-    (u1, u2), (ok1, ok2) = (x.reshape(2, -1) for x in _direct_factors(pairs, 1.0 - q, ctrl))
+    (u1, u2), (ok1, ok2) = (x.reshape(2, -1) for x in _direct_factors(pairs, 1.0 - q))
     lg_c, lg_s, lg_ms, lg_ca, lg_cb, lg_a, lg_b = log_gamma(np.stack([c, s, -s, c - a, c - b, a, b]))
     with np.errstate(over="ignore", invalid="ignore"):
         values = (np.exp(lg_c + lg_s - lg_ca - lg_cb) * u1
@@ -351,7 +346,7 @@ def _connection_factors(rows, q: float, ctrl: SeriesControl):
     return values, ok1 & ok2
 
 
-def hulthen_amplitudes_grid(p, energies, mass: float = 1.0, ctrl: SeriesControl = DEFAULT_SERIES):
+def hulthen_amplitudes_grid(p, energies, mass: float = 1.0):
     """Hulthen amplitudes at each energy: complex arrays t and r and, per point, None
     or its error.
 
@@ -388,7 +383,7 @@ def hulthen_amplitudes_grid(p, energies, mass: float = 1.0, ctrl: SeriesControl 
                                 (np.flatnonzero(connection), _connection_factors)):
             for j in range(0, len(points), _BATCH_POINTS):
                 batch = points[j : j + _BATCH_POINTS]
-                values, ok = factors(rows[batch].reshape(-1, 3), p.q, ctrl)
+                values, ok = factors(rows[batch].reshape(-1, 3), p.q)
                 f[:, batch], converged[:, batch] = values.reshape(-1, 6).T, ok.reshape(-1, 6).T
         f1, f2, f3, f4, f5, f6 = f
         a_plus = lam**2 + 2 * lam * mu + mu**2 - nu**2

@@ -37,7 +37,6 @@ from .exact import (
     rectangular_amplitudes_grid,
 )
 from .resonance import Kind, ResonanceListing, ResonanceReport, Source, _label_for
-from . import specfun, wkb
 from .wkb import _actions, eckart_turning_points, hulthen_turning_points
 
 # the reflection resonance at the k = 0 boundary, where T vanishes
@@ -67,8 +66,8 @@ class _Family:
     """What a family lacks, and the WKB and bound every family has.  ``exact`` (each
     family's own), ``wkb`` and ``bound`` return one MethodColumns for all energies;
     the keyword arguments of a swept parameter (see ``sweep_map``) give each point its
-    own potential.  The 2F1 series and the quadrature run on ``specfun.DEFAULT_SERIES``
-    and ``wkb.DEFAULT_QUADRATURE``, read at each call."""
+    own potential.  The 2F1 series and the quadrature run at the fixed tolerances of
+    ``specfun`` and ``wkb``."""
 
     variables: ClassVar[tuple[str, ...]] = ("E",)
 
@@ -286,7 +285,7 @@ class Eckart(_Family):
     def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
         # always between the closed-form turning points: no conventional fixed window
         x1, x2, checks = eckart_turning_points(self, energies)
-        return _actions(self.values, energies, x1, x2, wkb.DEFAULT_QUADRATURE, checks=checks)
+        return _actions(self.values, energies, x1, x2, checks=checks)
 
     def bound_area(self) -> float:
         # the bound assumes one asymptotic k0 on both sides; equal asymptotes leave
@@ -354,17 +353,16 @@ class Hulthen(_Family):
             error = UnsupportedOperationError("the Hulthen amplitudes need hbar = 1")
             nan = np.full(len(energies), math.nan)
             return MethodColumns(nan, nan, nan, [error] * len(energies))
-        return _grid_columns(hulthen_amplitudes_grid(self, energies, ctx.mass, specfun.DEFAULT_SERIES))
+        return _grid_columns(hulthen_amplitudes_grid(self, energies, ctx.mass))
 
     def wkb_actions(self, energies, solve_turning_points=False) -> tuple[np.ndarray, list]:
         # the physical region between the closed-form turning points, or the fixed
         # (-1, 1) window of the published recipe, split at the cusp of V at x = 0;
         # E <= 0 propagates in neither channel
-        ctrl = wkb.DEFAULT_QUADRATURE
         if solve_turning_points:
             edge, checks = hulthen_turning_points(self, energies)
-            return _actions(self.values, energies, -edge, edge, ctrl, checks=checks)
-        return _actions(self.values, energies, -1.0, 1.0, ctrl, (0.0,),
+            return _actions(self.values, energies, -edge, edge, checks=checks)
+        return _actions(self.values, energies, -1.0, 1.0, (0.0,),
                         [(~(energies > 0), WrongCaseError, "WKB tunneling needs E > 0, got {!r}")])
 
     def bound_area(self) -> float:

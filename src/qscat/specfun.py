@@ -12,7 +12,6 @@ blocks of terms that start short and grow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +32,13 @@ _LANCZOS_COEFFS = (
     1.5056327351493116e-7,
 )
 
-# the 2F1 series stops after this many consecutive terms below rel_tol times
-# the partial sum; each numpy block sums as many terms as the blocks before it,
-# from _FIRST_BLOCK up to _BLOCK, so a short series pays for a short block; a
-# pass holds at most _MAX_ELEMENTS terms (its rows times the block), bounding
-# its memory
+# the 2F1 series stops after _CONSECUTIVE_SMALL consecutive terms below _REL_TOL
+# times the partial sum, or unconverged at _MAX_TERMS terms; each numpy block
+# sums as many terms as the blocks before it, from _FIRST_BLOCK up to _BLOCK, so
+# a short series pays for a short block; a pass holds at most _MAX_ELEMENTS terms
+# (its rows times the block), bounding its memory
+_REL_TOL = 1e-15
+_MAX_TERMS = 20000
 _CONSECUTIVE_SMALL = 3
 _FIRST_BLOCK = 32
 _BLOCK = 256
@@ -45,23 +46,6 @@ _MAX_ELEMENTS = 24 * 256
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Convergence control for the hypergeometric power series."""
-
-    rel_tol: float = 1e-15
-    max_terms: int = 20000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise InvalidInputError(f"rel_tol must lie in (0, 1e-6], got {self.rel_tol!r}")
-        if self.max_terms < 100:
-            raise InvalidInputError(f"max_terms must be >= 100, got {self.max_terms!r}")
-
-
-DEFAULT_SERIES = SeriesControl()
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -115,7 +99,7 @@ def log_gamma(z):
     return complex(out)
 
 
-def _hyp2f1_series(rows, z, rel_tol, max_terms):
+def _hyp2f1_series(rows, z):
     """Raw Gauss series sums: (value, terms_used, converged, last_term_mag) per row (a, b, c);
     ``rows`` is a list of such triples or an (n, 3) array.
 
@@ -139,8 +123,8 @@ def _hyp2f1_series(rows, z, rel_tol, max_terms):
     active = np.arange(len(rows))  # rows still summing
     n0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while active.size and n0 < max_terms:
-            ns = np.arange(n0, min(n0 + min(max(n0, _FIRST_BLOCK), _BLOCK), max_terms),
+        while active.size and n0 < _MAX_TERMS:
+            ns = np.arange(n0, min(n0 + min(max(n0, _FIRST_BLOCK), _BLOCK), _MAX_TERMS),
                            dtype=np.float64)
             idx = np.arange(ns.size)
             step = _MAX_ELEMENTS // ns.size
@@ -149,7 +133,7 @@ def _hyp2f1_series(rows, z, rel_tol, max_terms):
                 ratios = (a[r] + ns) * (b[r] + ns) * z / ((c[r] + ns) * (ns + 1.0))
                 terms = term[r] * np.cumprod(ratios, axis=1)
                 sums = s[r] + np.cumsum(terms, axis=1)
-                flags = (mags := np.abs(terms)) < rel_tol * np.abs(sums)
+                flags = (mags := np.abs(terms)) < _REL_TOL * np.abs(sums)
                 # small-term run ending at each index: distance to the last large term or to -1 - carry
                 runlen = idx - np.maximum.accumulate(np.where(flags, -1 - carry[r], idx), axis=1)
                 hits = runlen >= _CONSECUTIVE_SMALL
@@ -169,16 +153,17 @@ def _hyp2f1_series(rows, z, rel_tol, max_terms):
     return out
 
 
-def gauss_2f1(a, b, c, z: float, ctrl: SeriesControl = DEFAULT_SERIES) -> complex:
+def gauss_2f1(a, b, c, z: float) -> complex:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z in [0, 1).
 
     Direct power series with the term-ratio recurrence; terminates once the
-    current term stays below rel_tol times the partial sum for three
+    current term stays below _REL_TOL (1e-15) times the partial sum for three
     consecutive terms (guards against transient dips of the complex
     Pochhammer ratios).
 
     Raises InvalidInputError for a non-finite a, b or c or z outside [0, 1), PoleError
-    for c a non-positive integer, ConvergenceError (with the last term) past max_terms.
+    for c a non-positive integer, ConvergenceError (with the last term) past
+    _MAX_TERMS (20000) terms.
     """
     a, b, c = complex(a), complex(b), complex(c)
     if not np.isfinite((a, b, c)).all():
@@ -190,10 +175,10 @@ def gauss_2f1(a, b, c, z: float, ctrl: SeriesControl = DEFAULT_SERIES) -> comple
         raise PoleError(f"gauss_2f1 pole: c = {c} is a non-positive integer")
     if z == 0.0:
         return 1.0 + 0.0j
-    ((value, _, converged, last),) = _hyp2f1_series([(a, b, c)], z, ctrl.rel_tol, ctrl.max_terms)
+    ((value, _, converged, last),) = _hyp2f1_series([(a, b, c)], z)
     if not converged:
         raise ConvergenceError(
-            f"2F1 series did not converge within {ctrl.max_terms} terms "
+            f"2F1 series did not converge within {_MAX_TERMS} terms "
             f"(last term magnitude {last:.3e}); argument z = {z} may be too close to 1",
             estimate=value, last_term=last)
     return value

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,25 +28,13 @@ from .errors import ConvergenceError, InvalidInputError, NoBarrierError
 # floating-point noise below the barrier top is clamped, anything worse rejected
 _NEGATIVE_SLACK = 1e-12
 
-# Gauss-Legendre orders compared for the error estimate of one interval
+# Gauss-Legendre orders compared for the error estimate of one interval, the
+# absolute tolerance of an owner's integral and the most halvings of an interval
 _GL_COARSE, _GL_FINE = 48, 96
+_ABS_TOL = 1e-10
+_MAX_DEPTH = 40
 # owners per block of one quadrature call, bounding the memory of a long sweep
 _BATCH_OWNERS = 32
-
-
-@dataclass(frozen=True)
-class QuadratureControl:
-    abs_tol: float = 1e-10
-    max_depth: int = 40
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise InvalidInputError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if self.max_depth < 1:
-            raise InvalidInputError(f"max_depth must be >= 1, got {self.max_depth!r}")
-
-
-DEFAULT_QUADRATURE = QuadratureControl()
 
 
 @functools.cache
@@ -62,15 +49,15 @@ def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integrate_gauss_legendre(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], edges: np.ndarray, ctrl: QuadratureControl
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], edges: np.ndarray
 ) -> tuple[np.ndarray, list]:
     """Integral of an array function f from edges[i, 0] to edges[i, -1] for each owner i,
     48 against 96 Gauss-Legendre nodes: an array and, per owner, None or its error.
 
     f(x, rows) takes the nodes x of intervals, one row each, and each row's owner.  An
     owner starts from the k intervals between its edges (f need not be smooth at the
-    inner ones), each with a 1/k share of abs_tol.  Intervals whose two estimates
-    differ by more than their share are halved, at most max_depth times; one level of
+    inner ones), each with a 1/k share of _ABS_TOL (1e-10).  Intervals whose two estimates
+    differ by more than their share are halved, at most _MAX_DEPTH (40) times; one level of
     up to _BATCH_OWNERS owners is one call of f.  An owner that does not converge gets
     a ConvergenceError with the best estimate of its integral.  It also stops once its
     unresolved difference fails to halve with the interval: the halved shares can then
@@ -85,8 +72,8 @@ def _integrate_gauss_legendre(
     for start in range(0, n, _BATCH_OWNERS):
         block = edges[start : start + _BATCH_OWNERS]
         m, a, b = block.shape[0], block[:, :-1].ravel(), block[:, 1:].ravel()
-        local, tol, total, pending_before = np.arange(m).repeat(k), ctrl.abs_tol / k, 0.0, math.inf
-        for depth in range(ctrl.max_depth + 1):
+        local, tol, total, pending_before = np.arange(m).repeat(k), _ABS_TOL / k, 0.0, math.inf
+        for depth in range(_MAX_DEPTH + 1):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             wfx = f(mid[:, None] + half[:, None] * nodes, local + start) * weights
             coarse = half * np.add.reduce(wfx[:, :_GL_COARSE], axis=1)
@@ -99,13 +86,13 @@ def _integrate_gauss_legendre(
             total = total + np.bincount(local[done], fine[done], m)
             pending = np.bincount(local[~done], residual[~done], m)
             # an open interval has a residual above its share >= 0, or NaN
-            stop = ~(pending <= 0.0) & ((depth == ctrl.max_depth) | ~(pending <= 0.5 * pending_before))
+            stop = ~(pending <= 0.0) & ((depth == _MAX_DEPTH) | ~(pending <= 0.5 * pending_before))
             if stop.any():
                 total[stop] += np.bincount(local[~done], fine[~done], m)[stop]
                 for i in np.flatnonzero(stop).tolist():
                     errors[start + i] = ConvergenceError(
-                        f"Gauss-Legendre quadrature did not reach abs_tol={ctrl.abs_tol:g} after "
-                        f"{depth} of at most {ctrl.max_depth} halvings (achieved estimate "
+                        f"Gauss-Legendre quadrature did not reach abs_tol={_ABS_TOL:g} after "
+                        f"{depth} of at most {_MAX_DEPTH} halvings (achieved estimate "
                         f"{total[i].item()!r}, residual ~{pending[i]:.3e})",
                         estimate=total[i].item(),
                         last_term=pending[i].item(),
@@ -123,8 +110,8 @@ def _integrate_gauss_legendre(
     return values, errors
 
 
-def _actions(v, energies: np.ndarray, x1, x2, ctrl: QuadratureControl,
-             breaks: tuple[float, ...] = (), checks: list = ()) -> tuple[np.ndarray, list]:
+def _actions(v, energies: np.ndarray, x1, x2, breaks: tuple[float, ...] = (),
+             checks: list = ()) -> tuple[np.ndarray, list]:
     """Integral of sqrt(V(x) - E) over the region (x1, x2) at each energy of the array:
     an array and, per energy, None or its error; the first of ``checks`` (mask, error
     class, message) comes before those of the quadrature.  v is an array function;
@@ -156,13 +143,11 @@ def _actions(v, energies: np.ndarray, x1, x2, ctrl: QuadratureControl,
 
     if np.ndim(x1) == 0:
         below |= v(np.array([x1, x2])).min() - energies < -_NEGATIVE_SLACK
-        actions, errors = _integrate_gauss_legendre(
-            sqrt_gap, np.tile((x1, *breaks, x2), (energies.size, 1)), ctrl
-        )
+        actions, errors = _integrate_gauss_legendre(sqrt_gap, np.tile((x1, *breaks, x2), (energies.size, 1)))
     else:
         mid = 0.5 * (x1 + x2)
         edges = np.array((-np.sqrt(x2 - mid), 0.0 * mid, np.sqrt(mid - x1))).T
-        actions, errors = _integrate_gauss_legendre(integrand, edges, ctrl)
+        actions, errors = _integrate_gauss_legendre(integrand, edges)
     checks = [*checks, (below, InvalidInputError, "V(x) < E = {!r} inside the barrier region; "
                         "shrink the region or use solved turning points")]
     return actions, [c or e for c, e in zip(first_errors(energies.tolist(), checks), errors)]

@@ -15,7 +15,6 @@ from qscat.exact import (
     hulthen_amplitudes_grid,
     rectangular_amplitudes_grid,
 )
-from qscat.specfun import DEFAULT_SERIES
 
 
 class Amplitudes(NamedTuple):
@@ -48,8 +47,8 @@ def rectangular(v0, a, energy, ctx) -> Amplitudes:
     return amplitudes(rectangular_amplitudes_grid(v0, a, [energy], ctx))
 
 
-def hulthen(p, energy, mass=1.0, ctrl=DEFAULT_SERIES) -> Amplitudes:
-    return amplitudes(hulthen_amplitudes_grid(p, [energy], mass, ctrl))
+def hulthen(p, energy, mass=1.0) -> Amplitudes:
+    return amplitudes(hulthen_amplitudes_grid(p, [energy], mass))
 
 
 def eckart_transmission(p, energy, ctx) -> float:

@@ -37,9 +37,9 @@ def test_module_uses_every_import(module):
 
 
 PUBLIC = [
-    "DEFAULT_SERIES", "Delta", "Eckart", "Hulthen", "Kind", "MethodResult", "NATURAL_UNITS",
-    "PhysicsContext", "PotentialSpec", "QuadratureControl", "Rectangular", "ResonanceListing",
-    "ResonanceReport", "SeriesControl", "Source", "SweepRow", "SweepSpec", "SweepTable",
+    "Delta", "Eckart", "Hulthen", "Kind", "MethodResult", "NATURAL_UNITS", "PhysicsContext",
+    "PotentialSpec", "Rectangular", "ResonanceListing", "ResonanceReport", "Source",
+    "SweepRow", "SweepSpec", "SweepTable",
     "analytic_resonances", "asymptotic_wavenumbers", "bound", "core", "delta_amplitudes_grid",
     "eckart_reflection_paper", "eckart_transmission_grid", "errors", "evaluate_methods",
     "evaluate_table", "exact", "gauss_2f1", "hulthen_amplitudes_grid", "log_gamma",

@@ -11,7 +11,6 @@ from qscat import (
     Hulthen,
     PhysicsContext,
     Rectangular,
-    SeriesControl,
     SweepSpec,
     run_sweep,
     wkb_for_potential,
@@ -110,7 +109,7 @@ class TestPurityAndDeterminism:
         # series need ~350, and 350 terms are too few for the longest series of
         # some points: those points, and only those, give noconv whether batched
         # or alone
-        monkeypatch.setattr(specfun, "DEFAULT_SERIES", SeriesControl(max_terms=350))
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 350)
         spec = SweepSpec(Hulthen(v0=1.0, a=0.5, q=0.9), "E", lo=1.09, hi=100.0, points=100)
         _, _, nu, lam = _hulthen_parameters(spec.potential, spec.grid(), 1.0)
         assert _connection_route(spec.potential.q, lam, nu).tolist() == [True] * 23 + [False] * 77

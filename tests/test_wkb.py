@@ -15,7 +15,6 @@ from qscat import (
     Eckart,
     Hulthen,
     MethodResult,
-    QuadratureControl,
     Rectangular,
     wkb_for_potential,
 )
@@ -29,7 +28,6 @@ from qscat.errors import (
 )
 from qscat import wkb
 from qscat.wkb import (
-    DEFAULT_QUADRATURE,
     _actions,
     _integrate_gauss_legendre,
     eckart_turning_points,
@@ -147,16 +145,18 @@ class TestFamilyTurningPoints:
         assert math.isfinite(t)
         assert t == pytest.approx(expected, rel=1e-9)
 
-    def test_hulthen_fixed_window_ends_checked(self, ctx):
-        # E just above V(+-1): every Gauss node lies inside the window, where V > E
+    @pytest.mark.parametrize("above", [1e-9, 1e-10])
+    def test_hulthen_fixed_window_ends_checked(self, ctx, above):
+        # E just above V(+-1): every Gauss node lies inside the window, where V > E;
+        # at +1e-10 only the check of V at the two ends tells invalid from noconv
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
-        energy = float(h.values(1.0)) + 1e-9
+        energy = float(h.values(1.0)) + above
         with pytest.raises(InvalidInputError):
             wkb_for_potential(h, energy, ctx)
 
     def test_nonconvergence_reports_estimate(self, ctx, monkeypatch):
         # the estimate is that of the whole action, in every path that integrates;
-        # each case runs on the module's DEFAULT_QUADRATURE, read when it is called
+        # each case runs at wkb._ABS_TOL and wkb._MAX_DEPTH, read when it is called
         h, e = Hulthen(v0=1.0, a=0.5, q=0.9), self.ASYMMETRIC
         cases = [
             lambda: wkb_for_potential(h, 1.0, ctx),
@@ -165,7 +165,8 @@ class TestFamilyTurningPoints:
         ]
         for run in cases:
             with monkeypatch.context() as m, pytest.raises(ConvergenceError) as exc_info:
-                m.setattr(wkb, "DEFAULT_QUADRATURE", QuadratureControl(abs_tol=1e-300, max_depth=1))
+                m.setattr(wkb, "_ABS_TOL", 1e-300)
+                m.setattr(wkb, "_MAX_DEPTH", 1)
                 run()
             from_estimate = math.exp(-2.0 * math.sqrt(2.0) * exc_info.value.estimate)
             assert from_estimate == pytest.approx(run(), rel=1e-9)
@@ -180,7 +181,7 @@ class TestGenericRegion:
     def test_region_dipping_below_energy_rejected(self):
         # fixed limits (-2, 2): V = 0 < E outside the barrier
         r = Rectangular(v0=1.0, a=1.0)
-        _, (error,) = _actions(r.values, np.array([0.5]), -2.0, 2.0, DEFAULT_QUADRATURE)
+        _, (error,) = _actions(r.values, np.array([0.5]), -2.0, 2.0)
         assert isinstance(error, InvalidInputError) and "V(x) < E" in str(error)
 
     def test_tiny_negative_noise_clamped(self):
@@ -188,20 +189,21 @@ class TestGenericRegion:
         def v(x):
             return np.full(np.shape(x), -5e-13)
 
-        (action,), (error,) = _actions(v, np.array([0.0]), 0.0, 1.0, DEFAULT_QUADRATURE)
+        (action,), (error,) = _actions(v, np.array([0.0]), 0.0, 1.0)
         assert error is None
         assert math.exp(-2.0 * math.sqrt(2.0) * action) == pytest.approx(1.0, abs=1e-6)
 
     def test_quadrature_nonconvergence_reports_estimate(self, ctx, monkeypatch):
         # the Hulthen fixed (-1, 1) window, at a tolerance it cannot meet in 3 halvings
         h = Hulthen(v0=1.0, a=0.5, q=0.9)
-        monkeypatch.setattr(wkb, "DEFAULT_QUADRATURE", QuadratureControl(abs_tol=1e-15, max_depth=3))
+        monkeypatch.setattr(wkb, "_ABS_TOL", 1e-15)
+        monkeypatch.setattr(wkb, "_MAX_DEPTH", 3)
         with pytest.raises(ConvergenceError) as exc_info:
             wkb_for_potential(h, 0.5, ctx)
         assert exc_info.value.estimate is not None
 
     def test_rounding_noise_stops_refinement(self):
-        # an action of ~3.5e7 carries rounding noise above abs_tol; refinement
+        # an action of ~3.5e7 carries rounding noise above _ABS_TOL; refinement
         # must give up with ConvergenceError instead of halving without end
         code = (
             "from qscat import NATURAL_UNITS, Hulthen, wkb_for_potential\n"
@@ -284,9 +286,9 @@ class TestAccuracyTrend:
         assert abs_err(100.0) < 1e-12 * abs_err(1.0)
 
 
-def _integral(f, a, b, ctrl):
+def _integral(f, a, b):
     """The integral of the array function f over [a, b], as the one owner of a call."""
-    (value,), (error,) = _integrate_gauss_legendre(lambda x, rows: f(x), np.array([[a, b]]), ctrl)
+    (value,), (error,) = _integrate_gauss_legendre(lambda x, rows: f(x), np.array([[a, b]]))
     if error is not None:
         raise error
     return value
@@ -295,19 +297,20 @@ def _integral(f, a, b, ctrl):
 class TestGaussLegendre:
     def test_polynomial_is_exact(self):
         # 48 nodes already integrate polynomials up to degree 95 exactly
-        got = _integral(lambda x: x**3 - 2 * x + 1, 0.0, 2.0, DEFAULT_QUADRATURE)
+        got = _integral(lambda x: x**3 - 2 * x + 1, 0.0, 2.0)
         assert got == pytest.approx(2.0, rel=1e-14)
 
-    def test_sqrt_endpoint_needs_extra_depth_without_substitution(self):
+    def test_sqrt_endpoint_needs_extra_depth_without_substitution(self, monkeypatch):
         # a bare sqrt edge converges only after halving toward it; the
         # turning-point path avoids this by substituting u^2 = x - x1
-        with pytest.raises(ConvergenceError):
-            _integral(np.sqrt, 0.0, 1.0, QuadratureControl(1e-10, 1))
-        got = _integral(np.sqrt, 0.0, 1.0, DEFAULT_QUADRATURE)
+        with monkeypatch.context() as m, pytest.raises(ConvergenceError):
+            m.setattr(wkb, "_MAX_DEPTH", 1)
+            _integral(np.sqrt, 0.0, 1.0)
+        got = _integral(np.sqrt, 0.0, 1.0)
         assert got == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_empty_interval(self):
-        assert _integral(np.ones_like, 1.0, 1.0, DEFAULT_QUADRATURE) == 0.0
+        assert _integral(np.ones_like, 1.0, 1.0) == 0.0
 
 
 
@@ -352,7 +355,7 @@ class TestBatchedIntegrator:
 
     def test_number_and_noconv_rows(self, monkeypatch):
         # at max_depth 1, E = 0.5 converges and E just below V(1) does not
-        monkeypatch.setattr(wkb, "DEFAULT_QUADRATURE", QuadratureControl(abs_tol=1e-10, max_depth=1))
+        monkeypatch.setattr(wkb, "_MAX_DEPTH", 1)
         near_edge = float(self.H.values(1.0)) - 1e-6
         rows = _same_rows(self.H, [0.5, near_edge, 0.02, near_edge])
         assert _codes(rows) == [None, "noconv", None, "noconv"]
@@ -366,16 +369,17 @@ class TestBatchedIntegrator:
         rows = _same_rows(self.H, [0.5, 0.0, -1.0])
         assert _codes(rows) == [None, "wrongcase", "wrongcase"]
 
-    def test_below_energy_found_next_to_a_nan_row(self):
+    def test_below_energy_found_next_to_a_nan_row(self, monkeypatch):
         # V dips below E = 0.5 inside the window only; a NaN node of another energy
         # in the same call must not hide it, even where the clamped integrand would
         # meet the (loose) tolerance at the first level
         def v(x):
             return 1.0 - 2.0 * np.exp(-100.0 * x * x)
 
+        monkeypatch.setattr(wkb, "_ABS_TOL", 1.0)
         for energies in ([0.5], [math.nan, 0.5]):
             with np.errstate(all="ignore"):
-                _, errors = _actions(v, np.array(energies), -1.0, 1.0, QuadratureControl(abs_tol=1.0))
+                _, errors = _actions(v, np.array(energies), -1.0, 1.0)
             assert isinstance(errors[-1], InvalidInputError) and "V(x) < E" in str(errors[-1])
 
     @pytest.mark.parametrize("p, energies", [
